@@ -15,8 +15,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (GcdNotOne, InternalMismatch, NonCoprimeFactors,
-                     NotInvertible, PreconditionUnmet)
+from .errors import (DivisionByZeroPoly, GcdNotOne, InternalMismatch,
+                     NonCoprimeFactors, NotInvertible, PreconditionUnmet)
 from .exactalg import (Poly, RationalFunction, poly_divmod, poly_ext_gcd,
                        poly_gcd)
 from .semigroup import GeneratorList
@@ -164,7 +164,7 @@ def _fold_free_factors(num: dict[int, RF], factors):
         if f.b == 0:
             c = RF(1) - f.u.to_ratfun()
             if c.is_zero():
-                raise ZeroDivisionError("vanishing L-free factor (1 - 1)")
+                raise DivisionByZeroPoly("vanishing L-free factor (1 - 1)")
             num = {e: v / c for e, v in num.items()}
         else:
             lam.append((idx, f))

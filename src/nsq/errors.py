@@ -25,10 +25,6 @@ class PoleAtZero(NsqError):
     """Series expansion requested for a rational function with den(0) = 0."""
 
 
-class CertificationFailed(NsqError):
-    """No candidate denominator could be certified against the series."""
-
-
 class NoMatchingRow(NsqError):
     """The instance does not match any tabulated residue-pattern row."""
 

@@ -1,17 +1,17 @@
 """Representation generating functions RGF_p(x) = sum_n d(pn; A) x^n:
-truncated series by multisection, certified closed-form rational
-functions, Frobenius numbers read off the series, and generator
-extraction from the numerator support.
+truncated series by multisection, proved closed-form rational functions,
+Frobenius numbers read off the series, and generator extraction from the
+numerator support.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import CertificationFailed, GcdNotOne, NegativeNumerator
+from .errors import GcdNotOne, NegativeNumerator
 from .exactalg import Poly, RationalFunction
-from .quotient import QuotientSpec, quotient_table
-from .semigroup import GeneratorList, denumerant_series, frobenius
+from .semigroup import (DEFAULT_SIEVE_CAP, GeneratorList, denumerant_series,
+                        frobenius)
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,9 @@ class RGFSeries:
 
 @dataclass(frozen=True)
 class RGFRational:
-    """Closed form numerator / prod_i (1 - x^{b_i}), with the expansion
-    checked against the series through degree `certified_to`."""
+    """Closed form numerator / prod_i (1 - x^{b_i}); `certified_to` is the
+    degree through which `rgf rational --verify` checks the expansion
+    against the series."""
 
     numerator: tuple[int, ...]
     denom_factors: tuple[int, ...]
@@ -43,56 +44,57 @@ class RGFRational:
         return RationalFunction(Poly.from_ints(self.numerator), den)
 
 
-def rgf_series(A: GeneratorList, p: int, N: int) -> RGFSeries:
+def rgf_series(A: GeneratorList, p: int, N: int,
+               cap: int = DEFAULT_SIEVE_CAP) -> RGFSeries:
     """Every p-th coefficient of the denumerant series up to p*N."""
     if p < 1:
         raise ValueError("p must be a positive integer")
-    full = denumerant_series(A, p * N)
+    full = denumerant_series(A, p * N, cap=cap)
     return RGFSeries(A, p, N, tuple(full.coeffs[::p]))
 
 
-def _deflate(series: list[int], bs, horizon: int) -> list[int]:
-    """Multiply the truncated series by prod (1 - x^b)."""
-    cur = list(series)
-    for b in bs:
-        cur = [cur[i] - (cur[i - b] if i >= b else 0)
-               for i in range(horizon + 1)]
-    return cur
+def _times_geometric(poly: list[int], a: int, c: int) -> list[int]:
+    """poly * (1 + x^a + ... + x^{(c-1)a}) by a sliding window of c terms."""
+    out = poly + [0] * ((c - 1) * a)
+    for n in range(a, len(out)):
+        out[n] += out[n - a] - (poly[n - c * a] if n >= c * a else 0)
+    return out
 
 
 def rgf_rational(A: GeneratorList, p: int) -> RGFRational:
-    """Guess-and-certify closed form for RGF_p.
+    """Closed form of RGF_p over prod_i (1 - x^{b_i}), b_i = a_i/gcd(a_i, p).
 
-    The primary denominator exponents are b_i = a_i / gcd(a_i, p); if the
-    series times that denominator fails to truncate, fall back to
-    (1 - x^Q)^k with Q the p-reduced lcm of the generators.  The result
-    is certified against the series through the reported horizon, one
-    full quasi-period past the transient.
+    Proof.  With g = gcd(a, p), c = p/g and b = a/g, every a satisfies
+    1/(1 - x^a) = (sum_{j<c} x^{ja}) / (1 - x^{pb}), since c*a = p*b.  So
+    sum_n d(n; A) x^n = P(x) / prod_i (1 - x^{p b_i}) with the polynomial
+    P(x) = prod_i sum_{j<c_i} x^{j a_i} over A.seq.  The denominator is a
+    series in x^p, so keeping the terms of exponent pn on both sides
+    gives RGF_p(x^p) = P_p(x^p) / prod_i (1 - x^{p b_i}), where P_p keeps
+    the coefficients of P at exponents divisible by p.  Substituting
+    x^p -> x yields the numerator; its degree is below sum b_i because
+    deg P = sum (p - g_i) b_i.  No series is expanded.
+
+    `certified_to` is the horizon `rgf rational --verify` checks the
+    closed form against the series through: one full quasi-period Q (the
+    p-reduced lcm of A) past the numerator degree and the transient
+    ceil(F(A)/p).
     """
     if A.g != 1:
         raise GcdNotOne("rgf_rational requires gcd(A) = 1")
     if p < 1:
         raise ValueError("p must be a positive integer")
-    f = frobenius(A)
-    transient = -(-(f or 0) // p)
+    P = [1]
+    for a in A.seq:
+        P = _times_geometric(P, a, p // math.gcd(a, p))
+    num = P[::p]
+    while num and num[-1] == 0:
+        num.pop()
+    bs = sorted(a // math.gcd(a, p) for a in A.seq)
     Q = math.lcm(*A.seq)
     Q //= math.gcd(Q, p)
-
-    primary = tuple(a // math.gcd(a, p) for a in A.seq)
-    fallback = tuple([Q] * len(A.seq))
-    for bs in (primary, fallback):
-        sum_b = sum(bs)
-        horizon = sum_b + Q + transient + 1
-        series = rgf_series(A, p, horizon).coeffs
-        prod = _deflate(list(series), bs, horizon)
-        if all(c == 0 for c in prod[sum_b + 1:]):
-            num = prod[:sum_b + 1]
-            while num and num[-1] == 0:
-                num.pop()
-            return RGFRational(tuple(num), tuple(sorted(bs)), horizon)
-    raise CertificationFailed(
-        f"no candidate denominator certified for A={A.seq}, p={p} "
-        f"(horizon {horizon})")
+    transient = -(-(frobenius(A) or 0) // p)
+    horizon = sum(bs) + Q + transient + 1
+    return RGFRational(tuple(num), tuple(bs), horizon)
 
 
 def frobenius_from_rgf(A: GeneratorList, p: int) -> int | None:
@@ -121,13 +123,6 @@ def gens_from_rgf(r: RGFRational, A: GeneratorList, p: int) -> list[int]:
     out = set(r.denom_factors)
     out.update(e for e, c in enumerate(r.numerator) if c and e > 0)
     return sorted(out)
-
-
-def rgf_membership_check(A: GeneratorList, p: int, N: int) -> bool:
-    """Positivity of series coefficients matches quotient membership."""
-    coeffs = rgf_series(A, p, N).coeffs
-    qt = quotient_table(QuotientSpec(A, p))
-    return all((coeffs[n] > 0) == qt.member(n) for n in range(N + 1))
 
 
 def render_text(r: RGFRational) -> str:

@@ -208,16 +208,20 @@ def semigroup_equal(A: GeneratorList, B: GeneratorList,
     return ta.bits == tb.bits
 
 
-def denumerant(a0: int, A: GeneratorList) -> int:
+def denumerant(a0: int, A: GeneratorList,
+               cap: int = DEFAULT_SIEVE_CAP) -> int:
     """Number of N-solutions of sum x_i a_i = a0, over the input sequence
     (repeated generators count as distinct parts)."""
     if a0 < 0:
         return 0
-    return denumerant_series(A, a0).coeffs[a0]
+    return denumerant_series(A, a0, cap=cap).coeffs[a0]
 
 
-def denumerant_series(A: GeneratorList, N: int) -> TruncatedSeries:
+def denumerant_series(A: GeneratorList, N: int,
+                      cap: int = DEFAULT_SIEVE_CAP) -> TruncatedSeries:
     """d(0..N; A) by the unbounded-knapsack prefix recurrence."""
+    if N + 1 > cap:
+        raise CapExceeded(f"series of {N + 1} cells exceeds cap {cap}")
     dp = [0] * (N + 1)
     dp[0] = 1
     for a in A.seq:

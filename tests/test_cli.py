@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nsq
 from nsq.cli import main
 from nsq.rgf import from_json_dict, rgf_rational
 from nsq.semigroup import GeneratorList
@@ -11,6 +16,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def run_process(*argv):
+    """(exit code, stderr) of `python -m nsq.cli` in a fresh interpreter,
+    where an uncaught exception would print a traceback."""
+    src = str(Path(nsq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "nsq.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stderr
 
 
 class TestBasicCommands:
@@ -68,6 +83,12 @@ class TestRgfCommands:
                            "--p", "3", "--verify")
         assert code == 0 and err == ""
 
+    def test_verify_horizon_over_cap(self, capsys):
+        # the closed form is cheap, but its verify horizon is 971,305,289
+        code, _, err = run(capsys, "rgf", "rational", "--gens", "997,991,983",
+                           "--p", "2", "--verify")
+        assert code == 3 and "cap" in err
+
 
 class TestCtCommand:
     def test_expr(self, capsys):
@@ -112,3 +133,21 @@ class TestExitCodes:
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("NSQ_SIEVE_CAP", "100")
         assert run(capsys, "frobenius", "--gens", "101,103")[0] == 3
+
+    def test_zero_caps_are_honoured(self, capsys):
+        assert run(capsys, "frobenius", "--gens", "3,5", "--sieve-cap", "0")[0] == 3
+        assert run(capsys, "tp", "--gens", "4,11", "--p", "3", "--tp-cap", "0")[0] == 3
+
+    def test_negative_cap_is_usage_error(self, capsys):
+        assert run(capsys, "frobenius", "--gens", "3,5", "--sieve-cap", "-1")[0] == 1
+        assert run(capsys, "tp", "--gens", "4,11", "--p", "3", "--tp-cap", "-1")[0] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("membership", "--gens", "3,5", "--bound", "-1"),
+        ("denumerant", "--gens", "3,5", "--trunc", "-1"),
+        ("ct", "--expr", "1/((1-1))"),
+    ])
+    def test_bad_input_exits_without_traceback(self, argv):
+        code, err = run_process(*argv)
+        assert code in (1, 2)
+        assert "Traceback" not in err

@@ -17,6 +17,15 @@ def G(*a):
     return GeneratorList.of(*a)
 
 
+def expand_closed_form(r: RGFRational, N: int) -> tuple[int, ...]:
+    """numerator / prod (1 - x^b) through x^N in plain integers."""
+    coeffs = list(r.numerator[:N + 1]) + [0] * (N + 1 - len(r.numerator))
+    for b in r.denom_factors:
+        for n in range(b, N + 1):
+            coeffs[n] += coeffs[n - b]
+    return tuple(coeffs)
+
+
 class TestRgfSeries:
     def test_examples(self):
         assert rgf_series(G(3, 5), 2, 5).coeffs == (1, 0, 0, 1, 1, 1)
@@ -69,6 +78,26 @@ class TestRgfRational:
             N = 2 * r.certified_to
             assert (series_from_rational(r.to_rational(), N).coeffs
                     == tuple(rgf_series(A, p, N).coeffs))
+
+    def test_closed_form_matches_series(self):
+        rng = random.Random(71)
+        checked = 0
+        while checked < 120:
+            A = GeneratorList.from_iter(
+                rng.randint(1, 40) for _ in range(rng.randint(1, 4)))
+            if A.g != 1:
+                continue
+            p = rng.randint(1, 7)
+            r = rgf_rational(A, p)
+            assert len(r.numerator) - 1 <= sum(r.denom_factors)
+            assert expand_closed_form(r, 200) == rgf_series(A, p, 200).coeffs
+            checked += 1
+
+    def test_rung_997_991_983(self):
+        A = G(997, 991, 983)
+        r = rgf_rational(A, 2)
+        assert r.denom_factors == (983, 991, 997)
+        assert expand_closed_form(r, 299) == rgf_series(A, 2, 299).coeffs
 
     def test_positivity_matches_membership(self):
         for gens, p in [((3, 5), 2), ((5, 6), 3), ((4, 11, 14), 3)]:
