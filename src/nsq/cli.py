@@ -1,20 +1,19 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 resource cap
-exceeded, 4 internal cross-check failure.  Non-coprime constant-term
-instances fall back to the series path with a warning and exit 0.
+exceeded, 4 internal cross-check failure or any other internal error.
+Non-coprime constant-term instances fall back to the series path with a
+warning and exit 0.
 """
 from __future__ import annotations
 
+# Each command pays for its own imports: every runner imports the nsq
+# modules it uses, so `frobenius` never loads the rational-function kernel.
 import argparse
-import json
 import os
 import sys
 
-from . import ctengine, quotient, rgf, semigroup
 from .errors import CapExceeded, InternalMismatch, NonCoprimeFactors, NsqError
-from .exactalg import series_from_rational
-from .semigroup import GeneratorList
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,6 +33,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(payload: dict, fmt: str, text: str):
     if fmt == "json":
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
@@ -77,14 +78,20 @@ def _ratfun_json(f) -> dict:
             "den": {str(e): str(c) for e, c in enumerate(den) if c}}
 
 
-def _caps(args) -> tuple[int, int]:
-    sieve, tp = args.sieve_cap, args.tp_cap
-    if sieve is None:
-        sieve = int(os.environ.get("NSQ_SIEVE_CAP",
-                                   semigroup.DEFAULT_SIEVE_CAP))
-    if tp is None:
-        tp = int(os.environ.get("NSQ_TP_CAP", quotient.DEFAULT_TP_CAP))
-    return sieve, tp
+def _sieve_cap(args) -> int:
+    if args.sieve_cap is not None:
+        return args.sieve_cap
+    from .semigroup import DEFAULT_SIEVE_CAP
+
+    return int(os.environ.get("NSQ_SIEVE_CAP", DEFAULT_SIEVE_CAP))
+
+
+def _tp_cap(args) -> int:
+    if args.tp_cap is not None:
+        return args.tp_cap
+    from .quotient import DEFAULT_TP_CAP
+
+    return int(os.environ.get("NSQ_TP_CAP", DEFAULT_TP_CAP))
 
 
 def non_negative_int(text: str) -> int:
@@ -159,9 +166,10 @@ def build_parser() -> _Parser:
 
 
 def _run_membership(args):
-    A = GeneratorList.parse(args.gens)
-    sieve, _ = _caps(args)
-    t = semigroup.build_membership(A, B=args.bound, cap=sieve)
+    from . import semigroup
+
+    A = semigroup.GeneratorList.parse(args.gens)
+    t = semigroup.build_membership(A, B=args.bound, cap=_sieve_cap(args))
     members = t.members()
     _emit({"bound": t.bound, "certified": t.certified, "members": members},
           args.format, _ints_line(members))
@@ -169,36 +177,46 @@ def _run_membership(args):
 
 
 def _run_frobenius(args):
-    A = GeneratorList.parse(args.gens)
-    f = semigroup.frobenius(A, cap=_caps(args)[0])
+    from . import semigroup
+
+    A = semigroup.GeneratorList.parse(args.gens)
+    f = semigroup.frobenius(A, cap=_sieve_cap(args))
     _emit({"frobenius": f}, args.format, "NONE" if f is None else str(f))
     return EXIT_OK
 
 
 def _run_gaps(args):
-    A = GeneratorList.parse(args.gens)
-    g = semigroup.gaps(A, cap=_caps(args)[0])
+    from . import semigroup
+
+    A = semigroup.GeneratorList.parse(args.gens)
+    g = semigroup.gaps(A, cap=_sieve_cap(args))
     _emit({"gaps": g}, args.format, _ints_line(g))
     return EXIT_OK
 
 
 def _run_apery(args):
-    A = GeneratorList.parse(args.gens)
-    ap = semigroup.apery(A, args.m, cap=_caps(args)[0])
+    from . import semigroup
+
+    A = semigroup.GeneratorList.parse(args.gens)
+    ap = semigroup.apery(A, args.m, cap=_sieve_cap(args))
     _emit({"m": args.m, "apery": ap}, args.format, _ints_line(ap))
     return EXIT_OK
 
 
 def _run_minimal(args):
-    A = GeneratorList.parse(args.gens)
-    mg = semigroup.minimal_generators(A, cap=_caps(args)[0])
+    from . import semigroup
+
+    A = semigroup.GeneratorList.parse(args.gens)
+    mg = semigroup.minimal_generators(A, cap=_sieve_cap(args))
     _emit({"minimal_generators": mg}, args.format, _ints_line(mg))
     return EXIT_OK
 
 
 def _run_denumerant(args):
-    A = GeneratorList.parse(args.gens)
-    sieve = _caps(args)[0]
+    from . import semigroup
+
+    A = semigroup.GeneratorList.parse(args.gens)
+    sieve = _sieve_cap(args)
     if args.trunc is not None:
         s = semigroup.denumerant_series(A, args.trunc, cap=sieve)
         _emit({"series": list(s.coeffs)}, args.format, _ints_line(s.coeffs))
@@ -211,24 +229,25 @@ def _run_denumerant(args):
 
 
 def _run_quotient(args):
-    A = GeneratorList.parse(args.gens)
+    from . import quotient, semigroup
+
+    A = semigroup.GeneratorList.parse(args.gens)
     q = quotient.QuotientSpec(A, args.p)
-    sieve, tp_cap = _caps(args)
     if args.action == "gens":
-        g = quotient.generators_thm(q, cap=tp_cap)
+        g = quotient.generators_thm(q, cap=_tp_cap(args))
         _emit({"generators": g}, args.format, _ints_line(g))
     elif args.action == "minimal":
-        g = quotient.minimal_quotient_generators(q, cap=sieve)
+        g = quotient.minimal_quotient_generators(q, cap=_sieve_cap(args))
         _emit({"minimal_generators": g}, args.format, _ints_line(g))
     elif args.action == "membership":
         if args.bound is None:
             raise UsageError("quotient membership needs --bound")
-        t = quotient.quotient_membership(q, args.bound, cap=sieve)
+        t = quotient.quotient_membership(q, args.bound, cap=_sieve_cap(args))
         members = t.members()
         _emit({"bound": t.bound, "members": members}, args.format,
               _ints_line(members))
     elif args.action == "frobenius":
-        f = quotient.frobenius_quotient(q, cap=sieve)
+        f = quotient.frobenius_quotient(q, cap=_sieve_cap(args))
         _emit({"frobenius": f}, args.format, "NONE" if f is None else str(f))
     else:
         g = quotient.table1_generators(q)
@@ -237,9 +256,11 @@ def _run_quotient(args):
 
 
 def _run_tp(args):
-    A = GeneratorList.parse(args.gens)
+    from . import quotient, semigroup
+
+    A = semigroup.GeneratorList.parse(args.gens)
     q = quotient.QuotientSpec(A, args.p)
-    ts = quotient.enumerate_Tp(q, cap=_caps(args)[1])
+    ts = quotient.enumerate_Tp(q, cap=_tp_cap(args))
     rows = [f"({','.join(map(str, x))}) -> {v}"
             for x, v in zip(ts.tuples, ts.values)]
     _emit({"p": ts.p, "gens": list(ts.gens),
@@ -249,18 +270,22 @@ def _run_tp(args):
 
 
 def _run_rgf(args):
-    A = GeneratorList.parse(args.gens)
-    sieve = _caps(args)[0]
+    from . import rgf, semigroup
+
+    A = semigroup.GeneratorList.parse(args.gens)
+    sieve = _sieve_cap(args)
     if args.action == "series":
         s = rgf.rgf_series(A, args.p, args.trunc, cap=sieve)
         _emit({"series": list(s.coeffs)}, args.format, _ints_line(s.coeffs))
         return EXIT_OK
     if args.action == "frobenius":
-        f = rgf.frobenius_from_rgf(A, args.p)
+        f = rgf.frobenius_from_rgf(A, args.p, cap=sieve)
         _emit({"frobenius": f}, args.format, "NONE" if f is None else str(f))
         return EXIT_OK
-    r = rgf.rgf_rational(A, args.p)
+    r = rgf.rgf_rational(A, args.p, cap=sieve)
     if args.verify:
+        from .exactalg import series_from_rational
+
         n = r.certified_to
         # the series oracle checks the cap before to_rational() runs
         oracle = rgf.rgf_series(A, args.p, n, cap=sieve)
@@ -277,6 +302,8 @@ def _run_rgf(args):
 
 
 def _run_ct(args):
+    from . import ctengine
+
     if args.expr is not None:
         expr = ctengine.parse_elliott(args.expr)
         f = ctengine.ct_constant_term(expr)
@@ -286,16 +313,18 @@ def _run_ct(args):
         return EXIT_OK
     if args.gens is None or args.p is None:
         raise UsageError("ct needs --expr or both --gens and --p")
-    A = GeneratorList.parse(args.gens)
+    from . import rgf, semigroup
+
+    A = semigroup.GeneratorList.parse(args.gens)
     try:
         f = ctengine.ct_rgf_rational(A, args.p)
     except NonCoprimeFactors:
         print("warning: CT path unavailable; series path used", file=sys.stderr)
-        r = rgf.rgf_rational(A, args.p)
+        r = rgf.rgf_rational(A, args.p, cap=_sieve_cap(args))
         _emit(rgf.to_json_dict(r), args.format, rgf.render_text(r))
         return EXIT_OK
     if args.verify:
-        r = rgf.rgf_rational(A, args.p)
+        r = rgf.rgf_rational(A, args.p, cap=_sieve_cap(args))
         if f != r.to_rational():
             print("verify: CT path disagrees with series path", file=sys.stderr)
             return EXIT_INTERNAL
@@ -304,9 +333,11 @@ def _run_ct(args):
 
 
 def _run_verify(args):
-    A = GeneratorList.parse(args.gens)
+    from . import quotient, semigroup
+
+    A = semigroup.GeneratorList.parse(args.gens)
     q = quotient.QuotientSpec(A, args.p)
-    report = quotient.verify_generators(q, cap=_caps(args)[0])
+    report = quotient.verify_generators(q, cap=_sieve_cap(args))
     ok = report.ok
     lines = [f"generators: {_ints_line(report.generators)}",
              f"bound: {report.bound}",
@@ -352,6 +383,9 @@ def main(argv=None) -> int:
     except NsqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception as exc:  # a bug: one line, never a traceback
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry():

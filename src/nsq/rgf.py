@@ -8,8 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GcdNotOne, NegativeNumerator
-from .exactalg import Poly, RationalFunction
+from .errors import CapExceeded, GcdNotOne, NegativeNumerator
 from .semigroup import (DEFAULT_SIEVE_CAP, GeneratorList, denumerant_series,
                         frobenius)
 
@@ -38,6 +37,9 @@ class RGFRational:
         return {e: c for e, c in enumerate(self.numerator) if c}
 
     def to_rational(self) -> RationalFunction:
+        # loaded here so that only --verify and the CT route load exactalg
+        from .exactalg import Poly, RationalFunction
+
         den = Poly.from_ints([1])
         for b in self.denom_factors:
             den = den * Poly.one_minus_pow(b)
@@ -49,6 +51,8 @@ def rgf_series(A: GeneratorList, p: int, N: int,
     """Every p-th coefficient of the denumerant series up to p*N."""
     if p < 1:
         raise ValueError("p must be a positive integer")
+    if N < 0:
+        raise ValueError(f"truncation must be non-negative, got {N}")
     full = denumerant_series(A, p * N, cap=cap)
     return RGFSeries(A, p, N, tuple(full.coeffs[::p]))
 
@@ -61,7 +65,8 @@ def _times_geometric(poly: list[int], a: int, c: int) -> list[int]:
     return out
 
 
-def rgf_rational(A: GeneratorList, p: int) -> RGFRational:
+def rgf_rational(A: GeneratorList, p: int,
+                 cap: int = DEFAULT_SIEVE_CAP) -> RGFRational:
     """Closed form of RGF_p over prod_i (1 - x^{b_i}), b_i = a_i/gcd(a_i, p).
 
     Proof.  With g = gcd(a, p), c = p/g and b = a/g, every a satisfies
@@ -77,34 +82,41 @@ def rgf_rational(A: GeneratorList, p: int) -> RGFRational:
     `certified_to` is the horizon `rgf rational --verify` checks the
     closed form against the series through: one full quasi-period Q (the
     p-reduced lcm of A) past the numerator degree and the transient
-    ceil(F(A)/p).
+    ceil(F(A)/p).  P has 1 + sum (c_i - 1) a_i coefficients, charged
+    against `cap` before it is built, and the F(A) sieve shares `cap`.
     """
     if A.g != 1:
         raise GcdNotOne("rgf_rational requires gcd(A) = 1")
     if p < 1:
         raise ValueError("p must be a positive integer")
+    cs = [p // math.gcd(a, p) for a in A.seq]
+    size = 1 + sum((c - 1) * a for a, c in zip(A.seq, cs))
+    if size > cap:
+        raise CapExceeded(f"closed form of {size} coefficients exceeds cap {cap}")
     P = [1]
-    for a in A.seq:
-        P = _times_geometric(P, a, p // math.gcd(a, p))
+    for a, c in zip(A.seq, cs):
+        P = _times_geometric(P, a, c)
     num = P[::p]
     while num and num[-1] == 0:
         num.pop()
     bs = sorted(a // math.gcd(a, p) for a in A.seq)
     Q = math.lcm(*A.seq)
     Q //= math.gcd(Q, p)
-    transient = -(-(frobenius(A) or 0) // p)
+    transient = -(-(frobenius(A, cap=cap) or 0) // p)
     horizon = sum(bs) + Q + transient + 1
     return RGFRational(tuple(num), tuple(bs), horizon)
 
 
-def frobenius_from_rgf(A: GeneratorList, p: int) -> int | None:
+def frobenius_from_rgf(A: GeneratorList, p: int,
+                       cap: int = DEFAULT_SIEVE_CAP) -> int | None:
     """Largest n with d(pn; A) = 0, certified by a run of positive
-    coefficients as long as the smallest positive quotient member."""
+    coefficients as long as the smallest positive quotient member.  Each
+    series it expands is charged against `cap`."""
     if A.g != 1:
         raise GcdNotOne("requires gcd(A) = 1")
     N = 16
     while True:
-        coeffs = rgf_series(A, p, N).coeffs
+        coeffs = rgf_series(A, p, N, cap=cap).coeffs
         m = next((n for n in range(1, N + 1) if coeffs[n] > 0), None)
         if m is not None:
             zeros = [n for n in range(1, N + 1) if coeffs[n] == 0]

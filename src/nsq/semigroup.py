@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, GcdNotOne, NotAMember
-from .exactalg import TruncatedSeries
 
 DEFAULT_SIEVE_CAP = 10**8
 
@@ -220,6 +219,11 @@ def denumerant(a0: int, A: GeneratorList,
 def denumerant_series(A: GeneratorList, N: int,
                       cap: int = DEFAULT_SIEVE_CAP) -> TruncatedSeries:
     """d(0..N; A) by the unbounded-knapsack prefix recurrence."""
+    # loaded here so that the sieve commands never load exactalg
+    from .exactalg import TruncatedSeries
+
+    if N < 0:
+        raise ValueError(f"truncation must be non-negative, got {N}")
     if N + 1 > cap:
         raise CapExceeded(f"series of {N + 1} cells exceeds cap {cap}")
     dp = [0] * (N + 1)

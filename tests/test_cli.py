@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nsq
 from nsq.cli import main
@@ -151,3 +154,112 @@ class TestExitCodes:
         code, err = run_process(*argv)
         assert code in (1, 2)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("rgf", "rational", "--gens", "3,5", "--p", "2"),
+        ("rgf", "gens", "--gens", "3,5", "--p", "2"),
+        ("rgf", "frobenius", "--gens", "3,5", "--p", "2"),
+        ("ct", "--gens", "4,8,11", "--p", "3"),
+        ("ct", "--gens", "3,5", "--p", "2", "--verify"),
+    ])
+    def test_zero_sieve_cap_covers_rgf(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--sieve-cap", "0")
+        assert code == 3 and "cap" in err
+
+    def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
+        import nsq.semigroup
+
+        def broken(A, cap):
+            raise IndexError("boom\nsecond line")
+
+        monkeypatch.setattr(nsq.semigroup, "frobenius", broken)
+        code, out, err = run(capsys, "frobenius", "--gens", "3,5")
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and "IndexError" in err
+
+
+def test_frobenius_loads_only_the_semigroup_layer():
+    src = str(Path(nsq.__file__).resolve().parents[1])
+    code = ("import sys; from nsq.cli import main; "
+            "main(['frobenius', '--gens', '3,5']); print(*sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    assert out[0] == "7"
+    loaded = set(out[1].split())
+    assert {m for m in loaded if m.split(".")[0] == "nsq"} == {
+        "nsq", "nsq.cli", "nsq.errors", "nsq.semigroup"}
+    assert "fractions" not in loaded and "json" not in loaded
+
+
+def test_lazy_exports():
+    for name in nsq.__all__:
+        assert getattr(nsq, name) is not None
+    assert set(nsq.__all__) <= set(dir(nsq))
+    assert nsq.semigroup.frobenius is nsq.frobenius
+    with pytest.raises(AttributeError):
+        nsq.no_such_name
+    with pytest.raises(ImportError):
+        from nsq import no_such_name  # noqa: F401
+
+
+# in-process fuzzing over every subcommand: small generators keep each
+# example cheap; malformed values are mixed in on purpose
+_GENS = st.lists(st.integers(1, 9), min_size=1, max_size=3).map(
+    lambda g: ",".join(map(str, g)))
+_SMALL = st.integers(-1, 40).map(str)
+_MONOMIAL = st.builds("{}*x^{}*L^{}".format, st.integers(-2, 2),
+                      st.integers(0, 3), st.integers(-3, 3))
+_EXPR = st.builds(
+    lambda num, facs, cut: (f"{num}/(" + "*".join(
+        f"(1 - {m})" for m in facs) + ")")[:cut],
+    _MONOMIAL, st.lists(_MONOMIAL, min_size=1, max_size=3),
+    st.one_of(st.none(), st.integers(0, 20)))
+_OPTIONS = {
+    "--gens": _GENS, "--p": st.sampled_from("0123"), "--bound": _SMALL,
+    "--m": _SMALL, "--n": _SMALL, "--trunc": _SMALL, "--expr": _EXPR,
+    "--sieve-cap": st.integers(-1, 300).map(str),
+    "--tp-cap": st.integers(-1, 30).map(str),
+}
+_COMMANDS = {
+    "membership": ("--bound",), "frobenius": (), "gaps": (),
+    "minimal-gens": (), "apery": ("--m",), "denumerant": ("--n", "--trunc"),
+    "quotient": ("--p", "--bound"), "tp": ("--p",),
+    "rgf": ("--p", "--trunc", "--verify"), "ct": ("--p", "--expr", "--verify"),
+    "verify": ("--p",),
+}
+_ACTIONS = {"quotient": ("gens", "minimal", "membership", "frobenius",
+                         "table1"),
+            "rgf": ("series", "rational", "frobenius", "gens")}
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [cmd]
+    if cmd in _ACTIONS:
+        argv.append(draw(st.sampled_from(_ACTIONS[cmd])))
+    for flag in ("--gens", *_COMMANDS[cmd], "--sieve-cap", "--tp-cap",
+                 "--format"):
+        if not draw(st.sampled_from(range(8))):  # drop a flag now and then
+            continue
+        if flag == "--verify":
+            argv.append(flag)
+        elif flag == "--format":
+            argv += [flag, draw(st.sampled_from(["text", "json"]))]
+        else:
+            argv += [flag, draw(_OPTIONS[flag])]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(5)
+    if code == 0 and "json" in argv:
+        json.loads(out.getvalue())

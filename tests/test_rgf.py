@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from nsq.errors import NegativeNumerator
+from nsq.errors import CapExceeded, NegativeNumerator
 from nsq.exactalg import Poly, RationalFunction, series_from_rational
 from nsq.quotient import (QuotientSpec, frobenius_quotient,
                           generates_quotient, quotient_membership)
@@ -30,6 +30,10 @@ class TestRgfSeries:
     def test_examples(self):
         assert rgf_series(G(3, 5), 2, 5).coeffs == (1, 0, 0, 1, 1, 1)
         assert rgf_series(G(5, 6), 3, 6).coeffs == (1, 0, 1, 0, 1, 1, 1)
+
+    def test_negative_truncation_is_value_error(self):
+        with pytest.raises(ValueError):
+            rgf_series(G(3, 5), 2, -1)
 
     def test_p_one_is_denumerant_series(self):
         from nsq.semigroup import denumerant_series
@@ -99,6 +103,15 @@ class TestRgfRational:
         assert r.denom_factors == (983, 991, 997)
         assert expand_closed_form(r, 299) == rgf_series(A, 2, 299).coeffs
 
+    def test_cap(self):
+        # P would hold 1 + 200002 * (3 + 5) coefficients
+        with pytest.raises(CapExceeded):
+            rgf_rational(G(3, 5), 200003, cap=10**5)
+        # P has 9 coefficients, the F(A) sieve 29 cells
+        with pytest.raises(CapExceeded):
+            rgf_rational(G(3, 5), 2, cap=10)
+        assert rgf_rational(G(3, 5), 2, cap=50) == rgf_rational(G(3, 5), 2)
+
     def test_positivity_matches_membership(self):
         for gens, p in [((3, 5), 2), ((5, 6), 3), ((4, 11, 14), 3)]:
             A = G(*gens)
@@ -117,6 +130,10 @@ class TestFrobeniusFromRgf:
 
     def test_naturals(self):
         assert frobenius_from_rgf(G(3, 5), 8) is None
+
+    def test_cap(self):
+        with pytest.raises(CapExceeded):
+            frobenius_from_rgf(G(5, 6), 3, cap=10)
 
     def test_matches_sieve(self):
         rng = random.Random(61)

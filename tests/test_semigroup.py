@@ -180,3 +180,7 @@ class TestDenumerant:
             s = denumerant_series(A, 50)
             for n in range(51):
                 assert (s.coeffs[n] > 0) == bool(t.bits[n])
+
+    def test_negative_truncation_is_value_error(self):
+        with pytest.raises(ValueError):
+            denumerant_series(G(3, 5), -1)
