@@ -25,8 +25,8 @@ _EXPORTS = {
                      "normalize_expr", "parse_elliott", "reduce_factor_mod",
                      "render_elliott", "residue_A0"), "ctengine"),
     **dict.fromkeys(("Poly", "RationalFunction", "TruncatedSeries",
-                     "poly_divmod", "poly_gcd", "poly_mul",
-                     "series_from_rational", "series_mul"), "exactalg"),
+                     "poly_divmod", "poly_gcd", "series_from_rational"),
+                    "exactalg"),
 }
 _SUBMODULES = {*_EXPORTS.values(), "errors"}
 

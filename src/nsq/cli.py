@@ -44,20 +44,6 @@ def _ints_line(values) -> str:
     return " ".join(str(v) for v in values)
 
 
-def _format_poly(coeffs) -> str:
-    terms = []
-    for e, c in enumerate(coeffs):
-        if not c:
-            continue
-        body = str(abs(c)) if e == 0 else (
-            ("" if abs(c) == 1 else f"{abs(c)}*") + ("x" if e == 1 else f"x^{e}"))
-        terms.append(("- " if c < 0 else "+ ") + body)
-    if not terms:
-        return "0"
-    head = terms[0].replace("+ ", "", 1).replace("- ", "-", 1)
-    return " ".join([head] + terms[1:])
-
-
 def _display_polys(f):
     num, den = f.num.coeffs, f.den.coeffs
     first = next((c for c in den if c), None)
@@ -68,8 +54,10 @@ def _display_polys(f):
 
 
 def _format_ratfun(f) -> str:
+    from .rgf import format_poly
+
     num, den = _display_polys(f)
-    return f"({_format_poly(num)})/({_format_poly(den)})"
+    return f"({format_poly(num)})/({format_poly(den)})"
 
 
 def _ratfun_json(f) -> dict:
@@ -337,7 +325,8 @@ def _run_verify(args):
 
     A = semigroup.GeneratorList.parse(args.gens)
     q = quotient.QuotientSpec(A, args.p)
-    report = quotient.verify_generators(q, cap=_sieve_cap(args))
+    report = quotient.verify_generators(q, cap=_sieve_cap(args),
+                                        tp_cap=_tp_cap(args))
     ok = report.ok
     lines = [f"generators: {_ints_line(report.generators)}",
              f"bound: {report.bound}",

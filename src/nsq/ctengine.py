@@ -3,22 +3,28 @@ variable L over exact rational functions in x.
 
 An expression is a Laurent polynomial in L with rational-function
 coefficients divided by a product of binomial factors (1 - u*L^b), where
-u is a signed monomial c*x^e.  Residues are computed by modular inversion
-in Q(x)[L]/(1 - u*L^b); the constant term follows from the partial
+u is a signed monomial c*x^e.  Residues are computed in Q(x)[L]/(1 - u*L^b),
+where every other factor has a closed-form inverse: with L^b = M = 1/u,
+y = v*L^c and n = b/gcd(b, c), y^n is the scalar s = v^n M^{cn/b}, so
+
+    1/(1 - y) = (1 + y + ... + y^{n-1}) / (1 - s).
+
+s = 1 exactly when the two factors share a root, which a monomial test
+decides beforehand.  The constant term follows from the partial
 fraction split, with the small/large monomial ordering of the double
 Laurent series field deciding which factors contribute.  Applied to the
 lifted denumerant expression this yields RGF_p(x) exactly.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DivisionByZeroPoly, GcdNotOne, InternalMismatch,
-                     NonCoprimeFactors, NotInvertible, PreconditionUnmet)
-from .exactalg import (Poly, RationalFunction, poly_divmod, poly_ext_gcd,
-                       poly_gcd)
+                     NonCoprimeFactors, PreconditionUnmet)
+from .exactalg import Poly, RationalFunction, poly_divmod
 from .semigroup import GeneratorList
 
 RF = RationalFunction
@@ -171,11 +177,17 @@ def _fold_free_factors(num: dict[int, RF], factors):
     return num, lam
 
 
+def _share_root(f: BinomialFactor, g: BinomialFactor) -> bool:
+    """(1 - u*L^b) and (1 - v*L^c), b, c > 0, share a root iff
+    u^{c/d} = v^{b/d} with d = gcd(b, c)."""
+    d = math.gcd(f.b, g.b)
+    return f.u ** (g.b // d) == g.u ** (f.b // d)
+
+
 def _check_pairwise_coprime(lam):
     for i in range(len(lam)):
         for j in range(i + 1, len(lam)):
-            g = poly_gcd(lam[i][1].as_poly(), lam[j][1].as_poly())
-            if g.deg > 0:
+            if _share_root(lam[i][1], lam[j][1]):
                 raise NonCoprimeFactors(
                     f"factors {lam[i][0]} and {lam[j][0]} share a root")
 
@@ -206,13 +218,19 @@ def _ring_mul(a: list[RF], b: list[RF], B: int, M_rf: RF) -> list[RF]:
     return out
 
 
-def _ring_inv(elt: list[RF], B: int, M_rf: RF) -> list[RF]:
-    mod = Poly([-M_rf] + [RF(0)] * (B - 1) + [RF(1)])
-    g, s, _ = poly_ext_gcd(Poly(elt), mod)
-    if g.deg != 0:
-        raise NotInvertible("factor is not invertible modulo the relation")
-    inv = s.scale(g.coeff(0).inv())
-    out = _ring_reduce({e: c for e, c in enumerate(inv.coeffs)}, B, M_rf)
+def _ring_inv_binomial(g: BinomialFactor, B: int, M: Monomial) -> list[RF]:
+    """(1 - v*L^c)^{-1} in Q(x)[L]/(L^B - M) by the closed form
+    sum_{j<n} (v*L^c)^j / (1 - v^n M^{c/d}), d = gcd(B, c), n = B/d,
+    since L^{cn} = (L^B)^{c/d}; the exponents c*j mod B, j < n, are
+    distinct."""
+    v, c = g.u, g.b
+    d = math.gcd(B, c)
+    n = B // d
+    scale = RF(1) - (v ** n * M ** (c // d)).to_ratfun()
+    out = [RF(0)] * B
+    for j in range(n):
+        q, r = divmod(c * j, B)
+        out[r] = (v ** j * M ** q).to_ratfun() / scale
     return out
 
 
@@ -221,13 +239,12 @@ def _residue_poly(num: dict[int, RF], lam, pos: int) -> list[RF]:
     factor at position `pos` within the L-dependent list."""
     f = lam[pos][1]
     B = f.b
-    M_rf = f.u.inv().to_ratfun()
+    M = f.u.inv()
+    M_rf = M.to_ratfun()
     elt = _ring_reduce(num, B, M_rf)
     for k, (_, g) in enumerate(lam):
-        if k == pos:
-            continue
-        reduced = _ring_reduce({0: RF(1), g.b: -g.u.to_ratfun()}, B, M_rf)
-        elt = _ring_mul(elt, _ring_inv(reduced, B, M_rf), B, M_rf)
+        if k != pos:
+            elt = _ring_mul(elt, _ring_inv_binomial(g, B, M), B, M_rf)
     return elt
 
 
@@ -239,9 +256,8 @@ def residue_A0(E: CTExpr, s: int) -> Residue:
         raise ValueError("residues are taken at L-dependent factors")
     num, lam = _fold_free_factors(E.numerator, E.factors)
     pos = next(k for k, (idx, _) in enumerate(lam) if idx == s)
-    fpoly = lam[pos][1].as_poly()
     for k, (idx, g) in enumerate(lam):
-        if k != pos and poly_gcd(fpoly, g.as_poly()).deg > 0:
+        if k != pos and _share_root(lam[pos][1], g):
             raise NonCoprimeFactors(
                 f"factor {s} shares a root with factor {idx}")
     coeffs = _residue_poly(num, lam, pos)
@@ -449,15 +465,17 @@ def _render_monomial(coef: Fraction, xexp: int, lexp: int) -> str:
 
 
 def render_elliott(E: CTExpr) -> str:
-    """Canonical text for a monomial-numerator expression; inverse of
-    parse_elliott up to normalization of the monomial spelling."""
-    if len(E.numerator) != 1:
+    """Canonical text for a monomial (or zero) numerator expression;
+    inverse of parse_elliott up to normalization of the monomial
+    spelling."""
+    if len(E.numerator) > 1:
         raise ValueError("only monomial numerators are renderable")
-    (lexp, rf), = E.numerator.items()
-    mono = rf.as_monomial()
-    if mono is None:
-        raise ValueError("numerator coefficient is not a monomial")
-    num = _render_monomial(mono[0], mono[1], lexp)
+    num = "0"
+    for lexp, rf in E.numerator.items():
+        mono = rf.as_monomial()
+        if mono is None:
+            raise ValueError("numerator coefficient is not a monomial")
+        num = _render_monomial(mono[0], mono[1], lexp)
     facs = "*".join(
         f"(1 - {_render_monomial(f.u.coef, f.u.xexp, f.b)})" for f in E.factors)
     return f"{num}/({facs})"

@@ -33,10 +33,6 @@ class NonCoprimeFactors(NsqError):
     """Denominator factors share a nonconstant polynomial gcd."""
 
 
-class NotInvertible(NonCoprimeFactors):
-    """A factor turned out to be non-invertible during residue inversion."""
-
-
 class InternalMismatch(NsqError):
     """Two independent computation paths disagreed; signals a bug."""
 

@@ -156,32 +156,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    one = _one_like(a, b)
-    s0, s1 = one, Poly()
-    t0, t1 = Poly(), one
-    while not r1.is_zero():
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lc = r0.lead
-    inv = 1 / lc if isinstance(lc, Fraction) else lc.inv()
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
-
-
-def _one_like(a: Poly, b: Poly) -> Poly:
-    for p in (a, b):
-        if p.coeffs:
-            c = p.coeffs[0] if p.coeffs[0] else p.lead
-            return Poly([c / c])
-    return Poly([Fraction(1)])
-
-
 class RationalFunction:
     """Quotient of two Fraction-coefficient polynomials, eagerly reduced.
 

@@ -1,6 +1,9 @@
 """Quotient semigroups <A>/p: direct membership, generator systems from
 the T_p tuple enumeration, the split for p-divisible generators,
 minimalization, and verification against the brute-force oracle.
+
+n is in <A>/p iff p*n is in <A>, so every membership answer here is read
+off one certified table of <A> (`build_membership`), with no second sieve.
 """
 from __future__ import annotations
 
@@ -9,7 +12,8 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded, GcdNotOne, NoMatchingRow, NotCoprimePart
 from .semigroup import (DEFAULT_SIEVE_CAP, GeneratorList, MembershipTable,
-                        build_membership, frobenius, table_from_bits)
+                        _check_cap, _last_gap, _minimal_generators,
+                        build_membership)
 
 DEFAULT_TP_CAP = 10**7
 
@@ -69,45 +73,37 @@ def _enumerate_tp(gens: tuple[int, ...], p: int, cap: int) -> TpSet:
     return TpSet(p, gens, tuple(tuples), tuple(values))
 
 
+def _quotient_of(base: MembershipTable, p: int, B: int,
+                 cap: int) -> MembershipTable:
+    """Flags n <= B of <A>/p read off a certified table of <A>: n is a
+    member iff p*n is, and past base.bound every p*n is.  Reading <A> up
+    to p*B is charged against cap like a sieve of that size."""
+    _check_cap(p * B + 1, cap)
+    bits = base.bits[:p * B + 1:p].ljust(B + 1, b"\x01")
+    f = base.bits[:base.run_end + 1:p].rfind(0)  # F(<A>/p), or -1 if N
+    return MembershipTable(base.gens, B, bits, f <= B,
+                           max(f, 0) if f <= B else None)
+
+
+def _quotient_table(base: MembershipTable, p: int, cap: int) -> MembershipTable:
+    """The certified table of <A>/p to F(A)//p + 1, or to 2 when <A> = N."""
+    f = _last_gap(base)
+    return _quotient_of(base, p, f // p + 1 if f is not None else 2, cap)
+
+
 def quotient_membership(q: QuotientSpec, B: int,
                         cap: int = DEFAULT_SIEVE_CAP) -> MembershipTable:
     """Flags for n <= B with n a member iff p*n is in <A>."""
-    base = build_membership(q.A, cap=cap)
-    if base.bound < q.p * B:
-        base = build_membership(q.A, B=q.p * B, cap=cap)
-    bits = bytes(1 if base.member(q.p * n) else 0 for n in range(B + 1))
-    gens = _quotient_min_gens_guess(q, bits)
-    return table_from_bits(gens, bits)
-
-
-def _quotient_min_gens_guess(q: QuotientSpec, bits: bytes) -> tuple[int, ...]:
-    # only the minimum matters for run certification
-    for n in range(1, len(bits)):
-        if bits[n]:
-            return (n,)
-    return (max(q.A.gens),)
+    return _quotient_of(build_membership(q.A, cap=cap), q.p, B, cap)
 
 
 def quotient_table(q: QuotientSpec, cap: int = DEFAULT_SIEVE_CAP) -> MembershipTable:
-    """Certified membership table of <A>/p."""
-    fa = frobenius(q.A, cap=cap)
-    if fa is None:
-        return quotient_membership(q, 2, cap=cap)
-    base_bound = fa // q.p + 1
-    t = quotient_membership(q, base_bound, cap=cap)
-    if t.certified:
-        return t
-    # everything past F(A)/p is a member; extend until the run shows up
-    m = next(n for n in range(1, t.bound + 2) if n > t.bound or t.bits[n])
-    return quotient_membership(q, base_bound + m + 1, cap=cap)
+    """Certified membership table of <A>/p, to just past F(A)/p."""
+    return _quotient_table(build_membership(q.A, cap=cap), q.p, cap)
 
 
 def frobenius_quotient(q: QuotientSpec, cap: int = DEFAULT_SIEVE_CAP) -> int | None:
-    t = quotient_table(q, cap=cap)
-    for n in range(t.bound, 0, -1):
-        if not t.bits[n]:
-            return n
-    return None
+    return _last_gap(quotient_table(q, cap=cap))
 
 
 def generators_thm(q: QuotientSpec, cap: int = DEFAULT_TP_CAP) -> list[int]:
@@ -125,19 +121,7 @@ def generators_thm(q: QuotientSpec, cap: int = DEFAULT_TP_CAP) -> list[int]:
 def minimal_quotient_generators(q: QuotientSpec,
                                 cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
     """Unique minimal generating set of <A>/p from its membership."""
-    f = frobenius_quotient(q, cap=cap)
-    if f is None:
-        return [1]
-    t = quotient_table(q, cap=cap)
-    m = next(n for n in range(1, t.bound + 1) if t.bits[n])
-    bound = f + m
-    if t.bound < bound:
-        t = quotient_membership(q, bound, cap=cap)
-    members = [n for n in range(1, bound + 1) if t.member(n)]
-    member_set = set(members)
-    return [c for c in members
-            if not any(s in member_set and (c - s) in member_set
-                       for s in range(1, c // 2 + 1))]
+    return _minimal_generators(quotient_table(q, cap=cap))
 
 
 @dataclass(frozen=True)
@@ -149,27 +133,31 @@ class VerificationReport:
     mismatches: tuple[int, ...]
 
 
-def verify_generators(q: QuotientSpec, cap: int = DEFAULT_SIEVE_CAP) -> VerificationReport:
+def _compare_with_quotient(gens, q: QuotientSpec, cap: int):
+    """(F(<A>/p), bound, mismatches) between <gens> and <A>/p on 0..bound,
+    a range that decides set equality; one sieve of each."""
+    base = build_membership(q.A, cap=cap)
+    f = _last_gap(_quotient_table(base, q.p, cap))
+    bound = (f or 0) + min(gens) + 1
+    qt = _quotient_of(base, q.p, bound, cap)
+    gt = build_membership(GeneratorList.from_iter(gens), B=bound, cap=cap)
+    return f, bound, tuple(n for n in range(bound + 1)
+                           if qt.bits[n] != gt.bits[n])
+
+
+def verify_generators(q: QuotientSpec, cap: int = DEFAULT_SIEVE_CAP,
+                      tp_cap: int = DEFAULT_TP_CAP) -> VerificationReport:
     """Check that the generator system actually generates <A>/p, by
     comparing membership up to a bound that decides set equality."""
-    gens = generators_thm(q)
-    f = frobenius_quotient(q, cap=cap)
-    bound = (f or 0) + min(gens) + 1
-    qt = quotient_membership(q, bound, cap=cap)
-    gt = build_membership(GeneratorList.from_iter(gens), B=bound, cap=cap)
-    mismatches = tuple(n for n in range(bound + 1) if qt.bits[n] != gt.bits[n])
+    gens = generators_thm(q, cap=tp_cap)
+    f, bound, mismatches = _compare_with_quotient(gens, q, cap)
     return VerificationReport(not mismatches, bound, tuple(gens), f, mismatches)
 
 
 def generates_quotient(gens, q: QuotientSpec,
                        cap: int = DEFAULT_SIEVE_CAP) -> bool:
     """True iff the semigroup generated by `gens` equals <A>/p."""
-    gens = sorted(set(gens))
-    f = frobenius_quotient(q, cap=cap)
-    bound = (f or 0) + min(gens) + 1
-    qt = quotient_membership(q, bound, cap=cap)
-    gt = build_membership(GeneratorList.from_iter(gens), B=bound, cap=cap)
-    return qt.bits == gt.bits
+    return not _compare_with_quotient(sorted(set(gens)), q, cap)[2]
 
 
 # Tabulated generator systems for three generators and p in {2, 3}; each

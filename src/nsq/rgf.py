@@ -137,23 +137,26 @@ def gens_from_rgf(r: RGFRational, A: GeneratorList, p: int) -> list[int]:
     return sorted(out)
 
 
-def render_text(r: RGFRational) -> str:
-    """Ascending-exponent text form, e.g. (1 + x^4)/((1-x^3)*(1-x^5))."""
+def format_poly(coeffs) -> str:
+    """Ascending-exponent text of a polynomial, e.g. 1 - 2*x + x^4; "0"
+    when every coefficient is zero."""
     terms = []
-    for e, c in enumerate(r.numerator):
+    for e, c in enumerate(coeffs):
         if not c:
             continue
-        if e == 0:
-            t = str(c)
-        else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            t = f"{mag}x^{e}" if e != 1 else f"{mag}x"
-            if c < 0:
-                t = "-" + t
-        terms.append(t)
-    num = " + ".join(terms).replace("+ -", "- ") if terms else "0"
+        body = str(abs(c)) if e == 0 else (
+            ("" if abs(c) == 1 else f"{abs(c)}*") + ("x" if e == 1 else f"x^{e}"))
+        terms.append(("- " if c < 0 else "+ ") + body)
+    if not terms:
+        return "0"
+    head = terms[0].replace("+ ", "", 1).replace("- ", "-", 1)
+    return " ".join([head] + terms[1:])
+
+
+def render_text(r: RGFRational) -> str:
+    """Ascending-exponent text form, e.g. (1 + x^4)/((1-x^3)*(1-x^5))."""
     den = "*".join(f"(1-x^{b})" for b in r.denom_factors)
-    return f"({num})/({den})"
+    return f"({format_poly(r.numerator)})/({den})"
 
 
 def to_json_dict(r: RGFRational) -> dict:

@@ -2,6 +2,11 @@
 Frobenius numbers, gaps, Apery sets, minimal generators and the
 Sylvester denumerant.  This layer is the brute-force oracle for
 everything built on top of it.
+
+The core is one certified `MembershipTable` per query: `build_membership`
+sieves <A> once, and the Frobenius number, gaps, Apery sets and minimal
+generators (and, in `quotient`, every answer about <A>/p) are read off
+that table.
 """
 from __future__ import annotations
 
@@ -58,9 +63,11 @@ class GeneratorList:
 class MembershipTable:
     """Representability flags for 0..bound.
 
-    `certified` means the flags contain a run of min(gens) consecutive
-    members ending at `run_end` <= bound, which proves every integer
-    above `run_end` is a member.
+    `certified` means `member(n)` is exact for every n, past `bound` too:
+    every integer above `run_end` <= bound is a member.  A sieved table
+    is certified by a run of min(gens) consecutive members ending at
+    `run_end`.  `gens` are the generators whose sieve the flags come from
+    (for a quotient table, those of <A>).
     """
 
     gens: tuple[int, ...]
@@ -96,60 +103,62 @@ def _sieve_bits(gens: tuple[int, ...], bound: int) -> bytes:
     return bytes(bits)
 
 
-def _find_run_end(bits: bytes, run: int) -> int | None:
-    streak = 0
-    for n, b in enumerate(bits):
-        streak = streak + 1 if b else 0
-        if streak >= run:
-            return n
-    return None
-
-
-def table_from_bits(gens, bits: bytes) -> MembershipTable:
-    run = min(gens)
-    end = _find_run_end(bits, run)
-    return MembershipTable(tuple(gens), len(bits) - 1, bits,
-                           end is not None, end)
+def _check_cap(cells: int, cap: int):
+    """Charge a table of `cells` cells, sieved or read off, against cap."""
+    if cells > cap:
+        raise CapExceeded(f"sieve of {cells} cells exceeds cap {cap}")
 
 
 def build_membership(A: GeneratorList, B: int | None = None,
                      cap: int = DEFAULT_SIEVE_CAP) -> MembershipTable:
-    """Sieve representability flags; without B, extend until certified."""
+    """Sieve representability flags for 0..B.  Without B the table is
+    certified: by Schur's bound F(A) <= (min A - 1)(max A - 1) - 1, a run
+    of min(A) members ends by max(A)^2 + min(A), the bound used."""
     gens = A.gens
-    if B is not None:
-        if B + 1 > cap:
-            raise CapExceeded(f"sieve of {B + 1} cells exceeds cap {cap}")
-        return table_from_bits(gens, _sieve_bits(gens, B))
-    if A.g != 1:
-        raise GcdNotOne("auto-extension requires gcd(A) = 1")
-    bound = max(gens) ** 2 + min(gens)
-    while True:
-        if bound + 1 > cap:
-            raise CapExceeded(f"sieve of {bound + 1} cells exceeds cap {cap}")
-        table = table_from_bits(gens, _sieve_bits(gens, bound))
-        if table.certified:
-            return table
-        bound *= 2
+    if B is None:
+        if A.g != 1:
+            raise GcdNotOne("auto-extension requires gcd(A) = 1")
+        B = max(gens) ** 2 + min(gens)
+    _check_cap(B + 1, cap)
+    bits = _sieve_bits(gens, B)
+    run = min(gens)
+    start = bits.find(b"\x01" * run)
+    run_end = start + run - 1 if start >= 0 else None
+    return MembershipTable(gens, B, bits, run_end is not None, run_end)
+
+
+def _last_gap(t: MembershipTable) -> int | None:
+    """Largest non-member of a certified table, or None when it is N."""
+    n = t.bits.rfind(0, 0, t.run_end + 1)
+    return n if n > 0 else None
+
+
+def _minimal_generators(t: MembershipTable) -> list[int]:
+    """The unique minimal generating set of the semigroup with certified
+    table t: the nonzero members up to F + m that are no sum of two
+    nonzero members, where m is the least nonzero member."""
+    f = _last_gap(t)
+    if f is None:
+        return [1]
+    m = next(n for n in range(1, f + 2) if t.member(n))
+    members = [n for n in range(1, f + m + 1) if t.member(n)]
+    member_set = set(members)
+    return [c for c in members
+            if not any(s in member_set and (c - s) in member_set
+                       for s in range(1, c // 2 + 1))]
 
 
 def frobenius(A: GeneratorList, cap: int = DEFAULT_SIEVE_CAP) -> int | None:
     """Largest non-representable integer, or None when the semigroup is N."""
     if A.g != 1:
         raise GcdNotOne("Frobenius number requires gcd(A) = 1")
-    table = build_membership(A, cap=cap)
-    last_gap = None
-    for n in range(table.bound, 0, -1):
-        if not table.bits[n]:
-            last_gap = n
-            break
-    return last_gap
+    return _last_gap(build_membership(A, cap=cap))
 
 
 def gaps(A: GeneratorList, cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
     if A.g != 1:
         raise GcdNotOne("gaps require gcd(A) = 1")
-    table = build_membership(A, cap=cap)
-    return table.non_members()
+    return build_membership(A, cap=cap).non_members()
 
 
 def apery(A: GeneratorList, m: int, cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
@@ -158,21 +167,23 @@ def apery(A: GeneratorList, m: int, cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
         raise GcdNotOne("Apery sets require gcd(A) = 1")
     if m < 1:
         raise NotAMember("Apery modulus must be a positive member")
-    f = frobenius(A, cap=cap)
-    bound = (f if f is not None else 0) + m + 1
-    table = build_membership(A, B=max(bound, m), cap=cap)
+    table = build_membership(A, cap=cap)
+    # every residue is hit below F + m + 1; reading that far is charged
+    top = (_last_gap(table) or 0) + m + 1
+    _check_cap(top + 1, cap)
     if not table.member(m):
         raise NotAMember(f"{m} is not in the semigroup")
+    bits = table.bits[:top + 1].ljust(top + 1, b"\x01")
     out: list[int | None] = [None] * m
     found = 0
-    for n in range(table.bound + 1):
+    for n in range(top + 1):
         r = n % m
-        if out[r] is None and table.bits[n]:
+        if out[r] is None and bits[n]:
             out[r] = n
             found += 1
             if found == m:
                 break
-    return [v for v in out]  # all residues hit below F + m + 1
+    return out
 
 
 def minimal_generators(A: GeneratorList, cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
@@ -180,31 +191,17 @@ def minimal_generators(A: GeneratorList, cap: int = DEFAULT_SIEVE_CAP) -> list[i
     nonzero members."""
     if A.g != 1:
         raise GcdNotOne("minimal generators require gcd(A) = 1")
-    f = frobenius(A, cap=cap)
-    if f is None:
-        return [1]
-    m = min(A.gens)
-    bound = f + m
-    table = build_membership(A, B=bound, cap=cap)
-    members = [n for n in range(1, bound + 1) if table.bits[n]]
-    member_set = set(members)
-    out = []
-    for c in members:
-        if not any(s in member_set and (c - s) in member_set
-                   for s in range(1, c // 2 + 1)):
-            out.append(c)
-    return out
+    return _minimal_generators(build_membership(A, cap=cap))
 
 
 def semigroup_equal(A: GeneratorList, B: GeneratorList,
                     cap: int = DEFAULT_SIEVE_CAP) -> bool:
-    """Decide <A> = <B> by comparing membership on a sufficient range."""
-    fa = frobenius(A, cap=cap)
-    fb = frobenius(B, cap=cap)
-    bound = max(fa or 0, fb or 0) + max(max(A.gens), max(B.gens)) + 1
-    ta = build_membership(A, B=bound, cap=cap)
-    tb = build_membership(B, B=bound, cap=cap)
-    return ta.bits == tb.bits
+    """Decide <A> = <B> from their certified tables: past the larger
+    `run_end` both hold every integer."""
+    ta = build_membership(A, cap=cap)
+    tb = build_membership(B, cap=cap)
+    return all(ta.member(n) == tb.member(n)
+               for n in range(max(ta.run_end, tb.run_end) + 1))
 
 
 def denumerant(a0: int, A: GeneratorList,

@@ -111,6 +111,14 @@ class TestCtCommand:
         assert "CT path unavailable; series path used" in err
         assert out.strip()
 
+    @pytest.mark.parametrize("expr, shown", [
+        ("0/((1 - L))", "0/((1 - L))"),
+        ("0*x*L^2/((1-2*x*L))", "0/((1 - 2*x*L))"),
+    ])
+    def test_zero_numerator(self, capsys, expr, shown):
+        code, out, err = run(capsys, "ct", "--expr", expr)
+        assert (code, out, err) == (0, f"{shown}\nCT = (0)/(1)\n", "")
+
 
 class TestVerifyCommand:
     def test_pass(self, capsys):
@@ -132,6 +140,27 @@ class TestExitCodes:
         code, _, err = run(capsys, "frobenius", "--gens", "101,103",
                            "--sieve-cap", "100")
         assert code == 3 and "cap" in err
+
+    @pytest.mark.parametrize("argv, cells, cap", [
+        (("apery", "--gens", "3,5", "--m", "200000000"), 200000009, 100000000),
+        (("apery", "--gens", "3,5", "--m", "1000", "--sieve-cap", "500"),
+         1009, 500),
+        (("quotient", "membership", "--gens", "3,5", "--p", "2", "--bound",
+          "100000000"), 200000001, 100000000),
+        (("quotient", "membership", "--gens", "3,5", "--p", "3", "--bound",
+          "40", "--sieve-cap", "100"), 121, 100),
+    ])
+    def test_cap_on_ranges_read_off_the_table(self, capsys, argv, cells, cap):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"cap exceeded: sieve of {cells} cells exceeds cap {cap}\n"
+
+    def test_verify_honours_tp_cap(self, capsys):
+        argv = ("--gens", "5,7,11,13", "--p", "5", "--tp-cap", "10")
+        for cmd in (("tp",), ("quotient", "gens"), ("verify",)):
+            code, out, err = run(capsys, *cmd, *argv)
+            assert (code, out) == (3, ""), cmd
+            assert err.startswith("cap exceeded: ") and "tuples" in err
 
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("NSQ_SIEVE_CAP", "100")

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from nsq.ctengine import (BinomialFactor, CTExpr, Monomial, build_rgf_expr,
-                          classify_monomial, ct_constant_term,
+from nsq.ctengine import (BinomialFactor, CTExpr, Monomial, _share_root,
+                          build_rgf_expr, classify_monomial, ct_constant_term,
                           ct_rgf_rational, lemma_zero_check, normalize_expr,
                           parse_elliott, reduce_factor_mod, render_elliott,
                           residue_A0)
 from nsq.errors import NonCoprimeFactors, PreconditionUnmet
-from nsq.exactalg import Poly, RationalFunction as RF, series_from_rational
+from nsq.exactalg import (Poly, RationalFunction as RF, poly_gcd,
+                          series_from_rational)
 from nsq.rgf import rgf_rational, rgf_series
 from nsq.semigroup import GeneratorList
 
@@ -100,6 +101,47 @@ class TestResidue:
         E = E_mono(1, 0, 0, [F(1, 1, 1), F(1, 2, 2)])
         with pytest.raises(NonCoprimeFactors):
             residue_A0(E, 0)
+
+
+class TestShareRoot:
+    """The monomial test u^{c/d} = v^{b/d} against the polynomial gcd."""
+
+    @staticmethod
+    def by_gcd(f, g):
+        return poly_gcd(f.as_poly(), g.as_poly()).deg > 0
+
+    def test_sign_and_root_of_unity_pairs(self):
+        pairs = [
+            (F(1, 0, 2), F(-1, 0, 1), True),    # 1 - L^2 and 1 + L
+            (F(1, 0, 2), F(1, 0, 1), True),     # 1 - L^2 and 1 - L
+            (F(-1, 0, 2), F(1, 0, 1), False),   # 1 + L^2 and 1 - L
+            (F(-1, 0, 2), F(-1, 0, 1), False),  # 1 + L^2 and 1 + L
+            (F(-1, 0, 3), F(-1, 0, 1), True),   # 1 + L^3 and 1 + L
+            (F(1, 0, 4), F(-1, 0, 2), True),    # 1 - L^4 and 1 + L^2
+            (F(1, 0, 3), F(1, 0, 2), True),     # 1 - L^3 and 1 - L^2
+            (F(1, 2, 2), F(1, 1, 1), True),     # 1 - x^2 L^2 and 1 - x L
+            (F(1, 2, 2), F(-1, 1, 1), True),    # 1 - x^2 L^2 and 1 + x L
+            (F(4, 0, 2), F(2, 0, 1), True),     # 1 - 4L^2 and 1 - 2L
+            (F(4, 0, 2), F(-2, 0, 1), True),
+            (F(2, 0, 2), F(2, 0, 1), False),
+            (F(1, 1, 1), F(1, 2, 2), True),
+            (F(1, 1, 2), F(1, 1, 1), False),
+        ]
+        for f, g, shared in pairs:
+            assert _share_root(f, g) == shared, (f, g)
+            assert _share_root(g, f) == shared, (g, f)
+            assert self.by_gcd(f, g) == shared, (f, g)
+
+    def test_matches_polynomial_gcd(self):
+        rng = random.Random(61)
+        seen = set()
+        for _ in range(300):
+            f, g = (F(rng.choice((-2, -1, 1, 2, 4)), rng.randint(0, 2),
+                      rng.randint(1, 4)) for _ in range(2))
+            shared = _share_root(f, g)
+            seen.add(shared)
+            assert shared == self.by_gcd(f, g), (f, g)
+        assert seen == {True, False}
 
 
 class TestConstantTerm:

@@ -5,7 +5,7 @@ import pytest
 
 from nsq.errors import DivisionByZeroPoly, PoleAtZero
 from nsq.exactalg import (Poly, RationalFunction, TruncatedSeries,
-                          poly_divmod, poly_ext_gcd, poly_gcd, poly_mul,
+                          poly_divmod, poly_gcd, poly_mul,
                           series_from_rational, series_mul)
 
 
@@ -84,16 +84,6 @@ class TestPolyGcd:
             for p in (a, b):
                 if not p.is_zero():
                     assert poly_divmod(p, g)[1].is_zero()
-
-    def test_ext_gcd_identity(self):
-        rng = random.Random(13)
-        for _ in range(30):
-            a = P(*[rng.randint(-4, 4) for _ in range(rng.randint(1, 6))])
-            b = P(*[rng.randint(-4, 4) for _ in range(rng.randint(1, 6))])
-            if a.is_zero() and b.is_zero():
-                continue
-            g, s, t = poly_ext_gcd(a, b)
-            assert s * a + t * b == g
 
 
 class TestRationalFunction:

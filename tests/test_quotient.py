@@ -3,13 +3,14 @@ import random
 
 import pytest
 
+import nsq.semigroup
 from nsq.errors import GcdNotOne, NoMatchingRow
 from nsq.quotient import (QuotientSpec, enumerate_Tp, frobenius_quotient,
                           generates_quotient, generators_thm,
                           minimal_quotient_generators, quotient_membership,
-                          table1_generators, verify_generators)
-from nsq.semigroup import (GeneratorList, build_membership, frobenius,
-                           minimal_generators, semigroup_equal)
+                          quotient_table, table1_generators, verify_generators)
+from nsq.semigroup import (GeneratorList, apery, build_membership, frobenius,
+                           gaps, minimal_generators, semigroup_equal)
 
 
 def Q(gens, p):
@@ -147,6 +148,40 @@ class TestVerifyGenerators:
             assert all(qt.member(n) for n in range(bound + 1) if base.member(n))
             quotient_is_n = frobenius_quotient(q) is None
             assert quotient_is_n == base.member(p)
+
+
+_A = GeneratorList.of(7, 9, 13)
+_Q = QuotientSpec(_A, 3)
+# (query, arguments, sieves it runs): one of <A> per query, plus one of
+# the candidate system where a query compares two semigroups
+_SIEVES = [
+    (frobenius, (_A,), 1),
+    (gaps, (_A,), 1),
+    (apery, (_A, 9), 1),
+    (minimal_generators, (_A,), 1),
+    (semigroup_equal, (_A, GeneratorList.of(7, 9, 13, 16)), 2),
+    (quotient_membership, (_Q, 40), 1),
+    (quotient_table, (_Q,), 1),
+    (frobenius_quotient, (_Q,), 1),
+    (minimal_quotient_generators, (_Q,), 1),
+    (verify_generators, (_Q,), 2),
+    (generates_quotient, ([3, 5, 7], _Q), 2),
+]
+
+
+@pytest.mark.parametrize("query, args, sieves", _SIEVES,
+                         ids=[q.__name__ for q, _, _ in _SIEVES])
+def test_one_sieve_per_semigroup(monkeypatch, query, args, sieves):
+    calls = []
+    sieve = nsq.semigroup._sieve_bits
+
+    def counting(gens, bound):
+        calls.append(gens)
+        return sieve(gens, bound)
+
+    monkeypatch.setattr(nsq.semigroup, "_sieve_bits", counting)
+    query(*args)
+    assert len(calls) == sieves
 
 
 class TestTable1:
