@@ -426,29 +426,36 @@ def _parse_monomial(tk: _Tokens):
     return sign * coef, xexp, lexp
 
 
-def _parse_factor(tk: _Tokens) -> BinomialFactor:
+def _parse_factor(tk: _Tokens) -> BinomialFactor | None:
+    """A factor (1 - c*x^e*L^b), or None for c = 0, where it is 1."""
     tk.expect("(")
     tk.expect("1")
     tk.expect("-")
     coef, xexp, lexp = _parse_monomial(tk)
     tk.expect(")")
-    return BinomialFactor(Monomial(coef, xexp), lexp)
+    return BinomialFactor(Monomial(coef, xexp), lexp) if coef else None
 
 
 def parse_elliott(text: str) -> CTExpr:
-    """Parse `M/((1 - M1)*(1 - M2)*...)` with monomials c*x^e*L^b."""
+    """Parse `M/((1 - M1)*(1 - M2)*...)` with monomials c*x^e*L^b, or
+    `M/(1)`; a factor with c = 0 is 1 and is dropped."""
     tk = _Tokens(text)
     coef, xexp, lexp = _parse_monomial(tk)
     tk.expect("/")
     tk.expect("(")
-    factors = [_parse_factor(tk)]
-    while tk.peek() == "*":
+    if tk.peek() == "1":
         tk.next()
-        factors.append(_parse_factor(tk))
+        factors = []
+    else:
+        factors = [_parse_factor(tk)]
+        while tk.peek() == "*":
+            tk.next()
+            factors.append(_parse_factor(tk))
     tk.expect(")")
     if tk.peek() is not None:
         raise ValueError(f"trailing input: {tk.toks[tk.i:]!r}")
-    return CTExpr({lexp: RF.monomial(coef, xexp)}, factors)
+    return CTExpr({lexp: RF.monomial(coef, xexp)},
+                  [f for f in factors if f is not None])
 
 
 def _render_monomial(coef: Fraction, xexp: int, lexp: int) -> str:
@@ -478,4 +485,4 @@ def render_elliott(E: CTExpr) -> str:
         num = _render_monomial(mono[0], mono[1], lexp)
     facs = "*".join(
         f"(1 - {_render_monomial(f.u.coef, f.u.xexp, f.b)})" for f in E.factors)
-    return f"{num}/({facs})"
+    return f"{num}/({facs or 1})"

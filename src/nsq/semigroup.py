@@ -6,11 +6,14 @@ everything built on top of it.
 The core is one certified `MembershipTable` per query: `build_membership`
 sieves <A> once, and the Frobenius number, gaps, Apery sets and minimal
 generators (and, in `quotient`, every answer about <A>/p) are read off
-that table.
+that table.  The minimal generators come from the Apery set Ap(S, m) of
+the multiplicity m, and `semigroup_equal` checks generators, so neither
+scans the members one by one.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import CapExceeded, GcdNotOne, NotAMember
@@ -133,19 +136,28 @@ def _last_gap(t: MembershipTable) -> int | None:
     return n if n > 0 else None
 
 
+def _apery_of(t: MembershipTable, m: int) -> list[int]:
+    """Ap(S, m), the least member of each class mod m, for the semigroup
+    S with certified table t and a member m: every class holds a member
+    by F + m + 1, so each is one scan of the padded flags."""
+    top = (_last_gap(t) or 0) + m + 1
+    bits = t.bits[:top + 1].ljust(top + 1, b"\x01")
+    return [r + m * bits[r::m].find(1) for r in range(m)]
+
+
 def _minimal_generators(t: MembershipTable) -> list[int]:
     """The unique minimal generating set of the semigroup with certified
-    table t: the nonzero members up to F + m that are no sum of two
-    nonzero members, where m is the least nonzero member."""
-    f = _last_gap(t)
-    if f is None:
-        return [1]
-    m = next(n for n in range(1, f + 2) if t.member(n))
-    members = [n for n in range(1, f + m + 1) if t.member(n)]
-    member_set = set(members)
-    return [c for c in members
-            if not any(s in member_set and (c - s) in member_set
-                       for s in range(1, c // 2 + 1))]
+    table t: the multiplicity m and every w in Ap(S, m) \\ {0} that is no
+    sum of two nonzero elements of Ap(S, m)."""
+    m = t.bits.find(1, 1)
+    w = _apery_of(t, m)
+    out = [m]
+    for i in range(1, m):
+        # w[j] + w[(i - j) % m] >= w[i] for every j, equal at j = 0 and j = i
+        sums = map(operator.add, w, w[i::-1] + w[:i:-1])
+        if list(sums).count(w[i]) == 2:
+            out.append(w[i])
+    return sorted(out)
 
 
 def frobenius(A: GeneratorList, cap: int = DEFAULT_SIEVE_CAP) -> int | None:
@@ -168,22 +180,11 @@ def apery(A: GeneratorList, m: int, cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
     if m < 1:
         raise NotAMember("Apery modulus must be a positive member")
     table = build_membership(A, cap=cap)
-    # every residue is hit below F + m + 1; reading that far is charged
-    top = (_last_gap(table) or 0) + m + 1
-    _check_cap(top + 1, cap)
+    # the classes are read up to F + m + 1; reading that far is charged
+    _check_cap((_last_gap(table) or 0) + m + 2, cap)
     if not table.member(m):
         raise NotAMember(f"{m} is not in the semigroup")
-    bits = table.bits[:top + 1].ljust(top + 1, b"\x01")
-    out: list[int | None] = [None] * m
-    found = 0
-    for n in range(top + 1):
-        r = n % m
-        if out[r] is None and bits[n]:
-            out[r] = n
-            found += 1
-            if found == m:
-                break
-    return out
+    return _apery_of(table, m)
 
 
 def minimal_generators(A: GeneratorList, cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
@@ -196,12 +197,12 @@ def minimal_generators(A: GeneratorList, cap: int = DEFAULT_SIEVE_CAP) -> list[i
 
 def semigroup_equal(A: GeneratorList, B: GeneratorList,
                     cap: int = DEFAULT_SIEVE_CAP) -> bool:
-    """Decide <A> = <B> from their certified tables: past the larger
-    `run_end` both hold every integer."""
+    """Decide <A> = <B> from their certified tables: each holds the
+    other's generators."""
     ta = build_membership(A, cap=cap)
     tb = build_membership(B, cap=cap)
-    return all(ta.member(n) == tb.member(n)
-               for n in range(max(ta.run_end, tb.run_end) + 1))
+    return (all(tb.member(a) for a in A.gens)
+            and all(ta.member(b) for b in B.gens))
 
 
 def denumerant(a0: int, A: GeneratorList,

@@ -119,6 +119,14 @@ class TestCtCommand:
         code, out, err = run(capsys, "ct", "--expr", expr)
         assert (code, out, err) == (0, f"{shown}\nCT = (0)/(1)\n", "")
 
+    @pytest.mark.parametrize("expr, shown", [
+        ("1/((1 - 0*L)*(1 - L))", "1/((1 - L))"),
+        ("1/((1 - 0*L))", "1/(1)"),
+    ])
+    def test_zero_coefficient_factor_is_dropped(self, capsys, expr, shown):
+        code, out, err = run(capsys, "ct", "--expr", expr)
+        assert (code, out, err) == (0, f"{shown}\nCT = (1)/(1)\n", "")
+
 
 class TestVerifyCommand:
     def test_pass(self, capsys):

@@ -254,7 +254,9 @@ class TestGrammar:
     def test_round_trip(self):
         for text in ["1/((1 - x*L^-3)*(1 - L^5)*(1 - L^6))",
                      "x^2*L/((1 - 2*x*L^2)*(1 - x^3))",
-                     "-3*L^-2/((1 - x))"]:
+                     "-3*L^-2/((1 - x))",
+                     "x/((1 - 0*L^2)*(1 - 2*L))",
+                     "L^-1/((1 - 0*x))"]:
             E = parse_elliott(text)
             assert parse_elliott(render_elliott(E)) == E
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import nsq.quotient
 import nsq.semigroup
 from nsq.errors import GcdNotOne, NoMatchingRow
 from nsq.quotient import (QuotientSpec, enumerate_Tp, frobenius_quotient,
@@ -116,6 +117,40 @@ class TestMinimalQuotientGenerators:
                                    GeneratorList.from_iter(generators_thm(q)))
 
 
+def brute_minimal_generators(member, f):
+    """The pairwise-sum definition: the nonzero members up to F + m that
+    are no sum of two nonzero members, m the least nonzero member."""
+    if f is None:
+        return [1]
+    m = next(n for n in range(1, f + 2) if member(n))
+    members = [n for n in range(1, f + m + 1) if member(n)]
+    member_set = set(members)
+    return [c for c in members
+            if not any(s in member_set and (c - s) in member_set
+                       for s in range(1, c // 2 + 1))]
+
+
+class TestMinimalGeneratorsOracle:
+    def test_seeded_against_pairwise_sums(self):
+        rng = random.Random(53)
+        done = 0
+        while done < 200:
+            A = GeneratorList.from_iter(
+                rng.randint(1, 120) for _ in range(rng.randint(1, 5)))
+            if A.g != 1:
+                continue
+            p = rng.randint(1, 7)
+            base = build_membership(A)
+            f = frobenius(A)
+            assert minimal_generators(A) == brute_minimal_generators(
+                base.member, f)
+            fq = max((n for n in range((f or 0) // p + 1)
+                      if not base.member(p * n)), default=None)
+            assert minimal_quotient_generators(QuotientSpec(A, p)) == (
+                brute_minimal_generators(lambda n: base.member(p * n), fq))
+            done += 1
+
+
 class TestFrobeniusQuotient:
     def test_examples(self):
         assert frobenius_quotient(Q((5, 6), 3)) == 3
@@ -133,6 +168,29 @@ class TestVerifyGenerators:
             q = Q(gens, p)
             report = verify_generators(q)
             assert report.ok, (gens, p, report)
+
+    def test_missing_minimal_generator_is_reported(self, monkeypatch):
+        rng = random.Random(59)
+        thm = nsq.quotient.generators_thm
+        done = 0
+        while done < 30:
+            q = Q(random_coprime(rng, rng.randint(2, 4), 40), rng.randint(2, 6))
+            dropped = rng.choice(minimal_quotient_generators(q))
+            gens = [g for g in thm(q) if g != dropped]
+            if not gens:
+                continue
+            monkeypatch.setattr(nsq.quotient, "generators_thm",
+                                lambda q, cap: gens)
+            report = verify_generators(q)
+            bound = (frobenius_quotient(q) or 0) + min(gens) + 1
+            qt = quotient_membership(q, bound)
+            gt = build_membership(GeneratorList.from_iter(gens), B=bound)
+            assert not report.ok
+            assert report.bound == bound
+            assert report.mismatches == tuple(
+                n for n in range(bound + 1) if qt.bits[n] != gt.bits[n])
+            assert dropped in report.mismatches
+            done += 1
 
     def test_containment_and_naturals_iff(self):
         rng = random.Random(43)
@@ -153,7 +211,8 @@ class TestVerifyGenerators:
 _A = GeneratorList.of(7, 9, 13)
 _Q = QuotientSpec(_A, 3)
 # (query, arguments, sieves it runs): one of <A> per query, plus one of
-# the candidate system where a query compares two semigroups
+# B where semigroup_equal compares <A> with <B>, and one of the candidate
+# system where generates_quotient lists the mismatches of a false answer
 _SIEVES = [
     (frobenius, (_A,), 1),
     (gaps, (_A,), 1),
@@ -164,13 +223,14 @@ _SIEVES = [
     (quotient_table, (_Q,), 1),
     (frobenius_quotient, (_Q,), 1),
     (minimal_quotient_generators, (_Q,), 1),
-    (verify_generators, (_Q,), 2),
+    (verify_generators, (_Q,), 1),
     (generates_quotient, ([3, 5, 7], _Q), 2),
+    (generates_quotient, (minimal_quotient_generators(_Q), _Q), 1),
 ]
+_IDS = [q.__name__ for q, _, _ in _SIEVES[:-1]] + ["generates_quotient_true"]
 
 
-@pytest.mark.parametrize("query, args, sieves", _SIEVES,
-                         ids=[q.__name__ for q, _, _ in _SIEVES])
+@pytest.mark.parametrize("query, args, sieves", _SIEVES, ids=_IDS)
 def test_one_sieve_per_semigroup(monkeypatch, query, args, sieves):
     calls = []
     sieve = nsq.semigroup._sieve_bits

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -100,6 +101,22 @@ class TestApery:
             assert min(ap) == 0
             assert max(ap) == frobenius(A) + m
 
+    def test_least_member_per_class(self):
+        rng = random.Random(29)
+        done = 0
+        while done < 60:
+            A = G(*(rng.randint(2, 60) for _ in range(rng.randint(2, 4))))
+            if A.g != 1:
+                continue
+            t = build_membership(A)
+            # a member other than the multiplicity, often a non-generator
+            m = rng.choice([n for n in range(A.gens[0] + 1, 3 * A.gens[-1])
+                            if t.member(n)])
+            brute = [next(n for n in itertools.count(r, m) if t.member(n))
+                     for r in range(m)]
+            assert apery(A, m) == brute
+            done += 1
+
 
 class TestMinimalGenerators:
     def test_examples(self):
@@ -116,6 +133,9 @@ class TestMinimalGenerators:
                 continue
             mg = minimal_generators(A)
             assert minimal_generators(G(*mg)) == mg
+
+    def test_large_rung(self):
+        assert minimal_generators(G(1001, 1003, 1007)) == [1001, 1003, 1007]
 
 
 class TestSemigroupEqual:
