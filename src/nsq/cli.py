@@ -294,7 +294,7 @@ def _run_ct(args):
 
     if args.expr is not None:
         expr = ctengine.parse_elliott(args.expr)
-        f = ctengine.ct_constant_term(expr)
+        f = ctengine.ct_constant_term(expr, cap=_sieve_cap(args))
         _emit({"expr": ctengine.render_elliott(expr), "ct": _ratfun_json(f)},
               args.format,
               f"{ctengine.render_elliott(expr)}\nCT = {_format_ratfun(f)}")
@@ -305,7 +305,7 @@ def _run_ct(args):
 
     A = semigroup.GeneratorList.parse(args.gens)
     try:
-        f = ctengine.ct_rgf_rational(A, args.p)
+        f = ctengine.ct_rgf_rational(A, args.p, cap=_sieve_cap(args))
     except NonCoprimeFactors:
         print("warning: CT path unavailable; series path used", file=sys.stderr)
         r = rgf.rgf_rational(A, args.p, cap=_sieve_cap(args))

@@ -14,6 +14,16 @@ decides beforehand.  The constant term follows from the partial
 fraction split, with the small/large monomial ordering of the double
 Laurent series field deciding which factors contribute.  Applied to the
 lifted denumerant expression this yields RGF_p(x) exactly.
+
+Every scalar between entry and exit is an `exactalg.LazyRationalFunction`:
+a Laurent polynomial in x over a multiset of binomial atoms such as
+1 - s, added and multiplied without any gcd (G. Xin, A fast algorithm
+for MacMahon's partition analysis, Electron. J. Combin. 11 (2004) R58).
+The engine divides only by binomials (the L-free factors and each
+1 - s) and by monomials, so the multisets stay small.
+`RationalFunction` is the type at the boundary: the numerator of a
+`CTExpr` is converted once on entry, and each result is normalised
+once, with one gcd, on exit.
 """
 from __future__ import annotations
 
@@ -22,12 +32,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DivisionByZeroPoly, GcdNotOne, InternalMismatch,
-                     NonCoprimeFactors, PreconditionUnmet)
-from .exactalg import Poly, RationalFunction, poly_divmod
-from .semigroup import GeneratorList
+from .errors import (CapExceeded, DivisionByZeroPoly, GcdNotOne,
+                     InternalMismatch, NonCoprimeFactors, PreconditionUnmet)
+from .exactalg import LazyRationalFunction, Poly, RationalFunction, poly_divmod
+from .semigroup import DEFAULT_SIEVE_CAP, GeneratorList
 
 RF = RationalFunction
+LRF = LazyRationalFunction
+_ZERO = LRF({})
+_ONE = LRF.monomial(1, 0)
 
 
 @dataclass(frozen=True)
@@ -59,6 +72,9 @@ class Monomial:
     def to_ratfun(self) -> RF:
         return RF.monomial(self.coef, self.xexp)
 
+    def to_lazy(self) -> LRF:
+        return LRF.monomial(self.coef, self.xexp)
+
 
 @dataclass(frozen=True)
 class BinomialFactor:
@@ -68,9 +84,10 @@ class BinomialFactor:
     b: int
 
     def as_poly(self) -> Poly:
-        """Polynomial in L over Q(x); requires b >= 0."""
-        coeffs = [RF(1)] + [RF(0)] * self.b
-        coeffs[self.b] = coeffs[self.b] - self.u.to_ratfun()
+        """Polynomial in L over Q(x), with the engine's scalar as
+        coefficients; requires b >= 0."""
+        coeffs = [_ONE] + [_ZERO] * self.b
+        coeffs[self.b] = coeffs[self.b] - self.u.to_lazy()
         return Poly(coeffs)
 
 
@@ -163,18 +180,20 @@ def reduce_factor_mod(E: CTExpr, s: int) -> CTExpr:
 
 
 def _fold_free_factors(num: dict[int, RF], factors):
-    """Divide the numerator by every L-free factor; returns the folded
-    numerator and the L-dependent factors with their original indices."""
+    """Bring the numerator into the engine's scalar and divide it by
+    every L-free factor; returns the folded numerator and the
+    L-dependent factors with their original indices."""
     lam = []
+    out = {e: LRF.from_rf(v) for e, v in num.items()}
     for idx, f in enumerate(factors):
         if f.b == 0:
-            c = RF(1) - f.u.to_ratfun()
+            c = 1 - f.u.to_lazy()
             if c.is_zero():
                 raise DivisionByZeroPoly("vanishing L-free factor (1 - 1)")
-            num = {e: v / c for e, v in num.items()}
+            out = {e: v / c for e, v in out.items()}
         else:
             lam.append((idx, f))
-    return num, lam
+    return out, lam
 
 
 def _share_root(f: BinomialFactor, g: BinomialFactor) -> bool:
@@ -192,17 +211,34 @@ def _check_pairwise_coprime(lam):
                     f"factors {lam[i][0]} and {lam[j][0]} share a root")
 
 
-def _ring_reduce(num: dict[int, RF], B: int, M_rf: RF) -> list[RF]:
+def _charge_rings(lam, cap: int):
+    """Charge the residue rings against cap before any is built.  The
+    ring of factor (1 - u*L^b) holds b scalars whose numerators grow
+    with the x-degrees of the scale binomials 1 - v^n M^{c/d} of
+    `_ring_inv_binomial`, so it counts b * (1 + sum of those degrees)."""
+    cells = 0
+    for s, (_, f) in enumerate(lam):
+        deg = 1
+        for k, (_, g) in enumerate(lam):
+            if k != s:
+                d = math.gcd(f.b, g.b)
+                deg += abs(f.b // d * g.u.xexp - g.b // d * f.u.xexp)
+        cells += f.b * deg
+    if cells > cap:
+        raise CapExceeded(f"residue rings of {cells} cells exceed cap {cap}")
+
+
+def _ring_reduce(num: dict[int, LRF], B: int, M: Monomial) -> list[LRF]:
     """Map a Laurent polynomial in L into Q(x)[L]/(L^B - M)."""
-    out = [RF(0)] * B
+    out = [_ZERO] * B
     for e, c in num.items():
         q, r = divmod(e, B)
-        out[r] = out[r] + (c * M_rf ** q if q else c)
+        out[r] = out[r] + (c * (M ** q).to_lazy() if q else c)
     return out
 
 
-def _ring_mul(a: list[RF], b: list[RF], B: int, M_rf: RF) -> list[RF]:
-    out = [RF(0)] * B
+def _ring_mul(a: list[LRF], b: list[LRF], B: int, M_l: LRF) -> list[LRF]:
+    out = [_ZERO] * B
     for i, ci in enumerate(a):
         if ci.is_zero():
             continue
@@ -213,12 +249,12 @@ def _ring_mul(a: list[RF], b: list[RF], B: int, M_rf: RF) -> list[RF]:
             v = ci * cj
             if e >= B:
                 e -= B
-                v = v * M_rf
+                v = v * M_l
             out[e] = out[e] + v
     return out
 
 
-def _ring_inv_binomial(g: BinomialFactor, B: int, M: Monomial) -> list[RF]:
+def _ring_inv_binomial(g: BinomialFactor, B: int, M: Monomial) -> list[LRF]:
     """(1 - v*L^c)^{-1} in Q(x)[L]/(L^B - M) by the closed form
     sum_{j<n} (v*L^c)^j / (1 - v^n M^{c/d}), d = gcd(B, c), n = B/d,
     since L^{cn} = (L^B)^{c/d}; the exponents c*j mod B, j < n, are
@@ -226,25 +262,25 @@ def _ring_inv_binomial(g: BinomialFactor, B: int, M: Monomial) -> list[RF]:
     v, c = g.u, g.b
     d = math.gcd(B, c)
     n = B // d
-    scale = RF(1) - (v ** n * M ** (c // d)).to_ratfun()
-    out = [RF(0)] * B
+    scale = 1 - (v ** n * M ** (c // d)).to_lazy()
+    out = [_ZERO] * B
     for j in range(n):
         q, r = divmod(c * j, B)
-        out[r] = (v ** j * M ** q).to_ratfun() / scale
+        out[r] = (v ** j * M ** q).to_lazy() / scale
     return out
 
 
-def _residue_poly(num: dict[int, RF], lam, pos: int) -> list[RF]:
+def _residue_poly(num: dict[int, LRF], lam, pos: int) -> list[LRF]:
     """Full residue polynomial A_s(L) (coefficients 0..b_s-1) for the
     factor at position `pos` within the L-dependent list."""
     f = lam[pos][1]
     B = f.b
     M = f.u.inv()
-    M_rf = M.to_ratfun()
-    elt = _ring_reduce(num, B, M_rf)
+    M_l = M.to_lazy()
+    elt = _ring_reduce(num, B, M)
     for k, (_, g) in enumerate(lam):
         if k != pos:
-            elt = _ring_mul(elt, _ring_inv_binomial(g, B, M), B, M_rf)
+            elt = _ring_mul(elt, _ring_inv_binomial(g, B, M), B, M_l)
     return elt
 
 
@@ -262,22 +298,24 @@ def residue_A0(E: CTExpr, s: int) -> Residue:
                 f"factor {s} shares a root with factor {idx}")
     coeffs = _residue_poly(num, lam, pos)
     f = lam[pos][1]
-    return Residue(s, coeffs[0], classify_monomial(f.u.xexp, f.b))
+    return Residue(s, coeffs[0].to_rf(), classify_monomial(f.u.xexp, f.b))
 
 
-def ct_constant_term(E: CTExpr) -> RF:
+def ct_constant_term(E: CTExpr, cap: int = DEFAULT_SIEVE_CAP) -> RF:
     """Constant term in L of E, as an exact rational function in x.
 
     Computes every residue, subtracts the partial fractions to recover
     the Laurent-polynomial remainder, and checks the primal (small-sum)
     and dual (value at L=0 minus large-sum) formulas against each other
-    whenever both apply.
+    whenever both apply.  The residue rings are charged against cap
+    (`CapExceeded`) before any is built.
     """
     E = normalize_expr(E)
     num, lam = _fold_free_factors(E.numerator, E.factors)
     if not lam:
-        return num.get(0, RF(0))
+        return num.get(0, _ZERO).to_rf()
     _check_pairwise_coprime(lam)
+    _charge_rings(lam, cap)
 
     residues = []
     for pos in range(len(lam)):
@@ -287,7 +325,7 @@ def ct_constant_term(E: CTExpr) -> RF:
 
     # remainder R with E = R + sum_s A_s/(1 - u_s L^{b_s})
     factor_polys = [f.as_poly() for _, f in lam]
-    D = Poly([RF(1)])
+    D = Poly([_ONE])
     for fp in factor_polys:
         D = D * fp
     total = dict(num)
@@ -297,27 +335,27 @@ def ct_constant_term(E: CTExpr) -> RF:
             if k != pos:
                 term = term * fp
         for e, c in enumerate(term.coeffs):
-            total[e] = total.get(e, RF(0)) - c
+            total[e] = total.get(e, _ZERO) - c
     total = {e: c for e, c in total.items() if c}
     shift = max(0, -min(total, default=0))
-    ncoeffs = [RF(0)] * (shift + max(total, default=0) + 1)
+    ncoeffs = [_ZERO] * (shift + max(total, default=0) + 1)
     for e, c in total.items():
         ncoeffs[e + shift] = c
     quot, rem = poly_divmod(Poly(ncoeffs), D)
     if not rem.is_zero():
         raise InternalMismatch("partial fraction remainder is not polynomial")
     R0 = quot.coeff(shift)
-    primal = R0 + sum((c[0] for c, cat in residues if cat == "small"), RF(0))
+    primal = R0 + sum((c[0] for c, cat in residues if cat == "small"), _ZERO)
 
     if not num or min(num) >= 0:
         # E has a value at L=0; cross-check with the dual formula
         if any(c for e, c in enumerate(quot.coeffs) if e < shift):
             raise InternalMismatch("remainder has a pole at 0 but E does not")
-        dual = num.get(0, RF(0)) - sum(
-            (c[0] for c, cat in residues if cat == "large"), RF(0))
+        dual = num.get(0, _ZERO) - sum(
+            (c[0] for c, cat in residues if cat == "large"), _ZERO)
         if dual != primal:
             raise InternalMismatch("primal and dual constant terms disagree")
-    return primal
+    return primal.to_rf()
 
 
 def lemma_zero_check(E: CTExpr) -> bool:
@@ -332,19 +370,20 @@ def lemma_zero_check(E: CTExpr) -> bool:
     if max(num) >= deg_den:
         raise PreconditionUnmet("E must be proper in L")
     _check_pairwise_coprime(lam)
-    total = RF(0)
+    total = _ZERO
     for pos in range(len(lam)):
         total = total + _residue_poly(num, lam, pos)[0]
     return total.is_zero()
 
 
-def ct_rgf_rational(A: GeneratorList, p: int) -> RF:
+def ct_rgf_rational(A: GeneratorList, p: int,
+                    cap: int = DEFAULT_SIEVE_CAP) -> RF:
     """RGF_p(x) via the constant-term pipeline: reduce against the
     (1 - x*L^-p) factor first, then extract the constant term."""
     if A.g != 1:
         raise GcdNotOne("ct_rgf_rational requires gcd(A) = 1")
     E = reduce_factor_mod(build_rgf_expr(A, p), 0)
-    return ct_constant_term(E)
+    return ct_constant_term(E, cap)
 
 
 # ---------------------------------------------------------------------------

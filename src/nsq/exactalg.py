@@ -4,8 +4,9 @@ rational functions and truncated power series.
 Rational scalars are `fractions.Fraction`.  `Poly` is coefficient-generic:
 it is used both over Fraction (polynomials in x) and over
 `RationalFunction` (polynomials in a second variable whose coefficients
-are rational functions in x).  All operations are pure and every value is
-immutable after construction.
+are rational functions in x) or `LazyRationalFunction`, the gcd-free
+scalar the constant-term engine computes with.  All operations are pure
+and every value is immutable after construction.
 """
 from __future__ import annotations
 
@@ -286,6 +287,168 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
+
+
+def _mul_terms(a, b) -> dict:
+    """Product of two sparse Laurent polynomials given as (exp, coef)
+    pairs, as {exp: coef} without zero coefficients."""
+    out = {}
+    for i, c in a:
+        for j, d in b:
+            out[i + j] = out.get(i + j, 0) + c * d
+    return {e: c for e, c in out.items() if c}
+
+
+class LazyRationalFunction:
+    """A rational function in x kept as a Laurent-polynomial numerator
+    over a multiset of denominator atoms, with no gcd taken.
+
+    `num` maps exponents to nonzero Fractions.  `atoms` maps each atom, a
+    polynomial with constant term 1 written as its sorted (exp, coef)
+    pairs, to its multiplicity.  A product adds the multisets; a sum
+    lifts both sides to the per-atom maximum; a quotient adds the
+    divisor's numerator, less its monomial factor, as one more atom.  A
+    value is zero exactly when its numerator is empty, and `to_rf`
+    normalises it with the one gcd of its life.  This is the scalar of
+    G. Xin, A fast algorithm for MacMahon's partition analysis, Electron.
+    J. Combin. 11 (2004) R58.  Instances are immutable.
+    """
+
+    __slots__ = ("num", "atoms")
+
+    def __init__(self, num: dict, atoms: dict | None = None):
+        self.num = num
+        self.atoms = atoms if num and atoms else {}
+
+    @classmethod
+    def monomial(cls, coef, exp):
+        return cls({exp: Fraction(coef)})
+
+    @classmethod
+    def from_rf(cls, f: RationalFunction) -> "LazyRationalFunction":
+        num, den = ({i: c for i, c in enumerate(p.coeffs) if c}
+                    for p in (f.num, f.den))
+        return cls(num) / cls(den)
+
+    @staticmethod
+    def _coerce(v):
+        if isinstance(v, LazyRationalFunction):
+            return v
+        if isinstance(v, (int, Fraction)):
+            return LazyRationalFunction({0: Fraction(v)} if v else {})
+        return NotImplemented
+
+    def is_zero(self):
+        return not self.num
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def _lift(self, atoms: dict) -> dict:
+        """The numerator over `atoms`, a multiset containing self.atoms."""
+        num = self.num
+        for atom, k in atoms.items():
+            for _ in range(k - self.atoms.get(atom, 0)):
+                num = _mul_terms(num.items(), atom)
+        return num
+
+    def _common_atoms(self, other) -> dict:
+        atoms = dict(self.atoms)
+        for atom, k in other.atoms.items():
+            if k > atoms.get(atom, 0):
+                atoms[atom] = k
+        return atoms
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        atoms = self._common_atoms(other)
+        return self._lift(atoms) == other._lift(atoms)
+
+    def __neg__(self):
+        return LazyRationalFunction({e: -c for e, c in self.num.items()},
+                                    self.atoms)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        atoms = self._common_atoms(other)
+        num = dict(self._lift(atoms))
+        for e, c in other._lift(atoms).items():
+            c += num.pop(e, 0)
+            if c:
+                num[e] = c
+        return LazyRationalFunction(num, atoms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        atoms = dict(self.atoms)
+        for atom, k in other.atoms.items():
+            atoms[atom] = atoms.get(atom, 0) + k
+        return LazyRationalFunction(
+            _mul_terms(self.num.items(), other.num.items()), atoms)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other.num:
+            raise ZeroDivisionError("division by zero rational function")
+        s = min(other.num)
+        lead = other.num[s]
+        num = _mul_terms(self.num.items(), ((-s, 1 / lead),))
+        for atom, k in other.atoms.items():
+            for _ in range(k):
+                num = _mul_terms(num.items(), atom)
+        atoms = dict(self.atoms)
+        if len(other.num) > 1:
+            atom = tuple(sorted((e - s, c / lead)
+                                for e, c in other.num.items()))
+            atoms[atom] = atoms.get(atom, 0) + 1
+        return LazyRationalFunction(num, atoms)
+
+    def to_rf(self) -> RationalFunction:
+        """The normalised value: one RationalFunction construction."""
+        if not self.num:
+            return RationalFunction(0)
+        den = {0: Fraction(1)}
+        for atom, k in self.atoms.items():
+            for _ in range(k):
+                den = _mul_terms(den.items(), atom)
+        shift = max(0, -min(self.num))
+        return RationalFunction(_dense(self.num, shift), _dense(den, shift))
+
+    def __repr__(self):
+        return f"LazyRationalFunction({self.num!r}, {self.atoms!r})"
+
+
+def _dense(terms: dict, shift: int) -> Poly:
+    """x^shift times the Laurent polynomial {exp: coef}, as a Poly."""
+    coeffs = [Fraction(0)] * (shift + max(terms) + 1)
+    for e, c in terms.items():
+        coeffs[e + shift] = c
+    return Poly(coeffs)
 
 
 @dataclass(frozen=True)

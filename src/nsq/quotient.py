@@ -168,8 +168,10 @@ def verify_generators(q: QuotientSpec, cap: int = DEFAULT_SIEVE_CAP,
 
 def generates_quotient(gens, q: QuotientSpec,
                        cap: int = DEFAULT_SIEVE_CAP) -> bool:
-    """True iff the semigroup generated by `gens` equals <A>/p."""
-    return not _compare_with_quotient(sorted(set(gens)), q, cap)[2]
+    """True iff the semigroup generated by `gens` equals <A>/p; <{}> = {0}
+    never does."""
+    gens = sorted(set(gens))
+    return bool(gens) and not _compare_with_quotient(gens, q, cap)[2]
 
 
 # Tabulated generator systems for three generators and p in {2, 3}; each

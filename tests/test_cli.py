@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,15 @@ class TestExitCodes:
     def test_zero_sieve_cap_covers_rgf(self, capsys, argv):
         code, _, err = run(capsys, *argv, "--sieve-cap", "0")
         assert code == 3 and "cap" in err
+
+    def test_ct_expr_honours_sieve_cap(self):
+        start = time.perf_counter()
+        code, err = run_process("ct", "--expr", "1/((1 - L^2000)*(1 - x*L))",
+                                "--sieve-cap", "100000")
+        assert time.perf_counter() - start < 1  # the rings are never built
+        assert code == 3 and "Traceback" not in err
+        assert err == ("cap exceeded: residue rings of 4004001 cells "
+                       "exceed cap 100000\n")
 
     def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
         import nsq.semigroup

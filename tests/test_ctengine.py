@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+import nsq.ctengine
+import nsq.exactalg
 from nsq.ctengine import (BinomialFactor, CTExpr, Monomial, _share_root,
                           build_rgf_expr, classify_monomial, ct_constant_term,
                           ct_rgf_rational, lemma_zero_check, normalize_expr,
                           parse_elliott, reduce_factor_mod, render_elliott,
                           residue_A0)
-from nsq.errors import NonCoprimeFactors, PreconditionUnmet
+from nsq.errors import (CapExceeded, InternalMismatch, NonCoprimeFactors,
+                        PreconditionUnmet)
 from nsq.exactalg import (Poly, RationalFunction as RF, poly_gcd,
                           series_from_rational)
 from nsq.rgf import rgf_rational, rgf_series
@@ -191,18 +194,69 @@ class TestConstantTerm:
             assert got == tuple(want), (E, got, want)
             done += 1
 
+    @pytest.mark.parametrize("text", [
+        "1/((1 - L^60)*(1 - x*L^7)*(1 - 2*x^2*L^11))",
+        "1/((1 - L^60)*(1 - x*L^-7)*(1 - 2*x^2*L^11))",
+    ])
+    def test_three_factors_with_a_ring_of_60(self, text):
+        E = parse_elliott(text)
+        N = 40
+        got = series_from_rational(ct_constant_term(E), N).coeffs
+        assert got == tuple(_brute_ct(E, N))
+
+    def test_cap_charges_the_residue_rings(self):
+        E = parse_elliott("1/((1 - L^2000)*(1 - x*L))")
+        # b * (1 + scale degree) per ring: 2000 * 2001 + 1 * 2001
+        msg = "residue rings of 4004001 cells exceed cap 100000"
+        with pytest.raises(CapExceeded, match=msg):
+            ct_constant_term(E, cap=100000)
+        A = GeneratorList.of(3, 5)
+        with pytest.raises(CapExceeded):
+            ct_rgf_rational(A, 2, cap=0)
+        assert ct_rgf_rational(A, 2, cap=100) == rgf_rational(A, 2).to_rational()
+
+    def test_one_gcd_per_result(self, monkeypatch):
+        E = parse_elliott("1/((1 - L^6)*(1 - x*L^2)*(1 - 2*x^3*L^5)*(1 - x^2))")
+        calls = []
+        gcd = nsq.exactalg.poly_gcd
+        monkeypatch.setattr(nsq.exactalg, "poly_gcd",
+                            lambda a, b: calls.append(1) or gcd(a, b))
+        ct_constant_term(E)
+        assert len(calls) == 1
+        residue_A0(E, 1)
+        assert len(calls) == 2
+
+    def test_perturbed_residue_fails_the_remainder_check(self, monkeypatch):
+        residue_poly = nsq.ctengine._residue_poly
+
+        def off_by_one(num, lam, pos):
+            coeffs = residue_poly(num, lam, pos)
+            return [coeffs[0] + 1, *coeffs[1:]] if pos == 0 else coeffs
+
+        monkeypatch.setattr(nsq.ctengine, "_residue_poly", off_by_one)
+        with pytest.raises(InternalMismatch):
+            ct_rgf_rational(GeneratorList.of(3, 5, 7), 2)
+        with pytest.raises(InternalMismatch):
+            ct_constant_term(parse_elliott("1/((1 - x*L)*(1 - x^2*L^-1))"))
+
 
 def _brute_ct(E, N):
     """Constant term in L by truncated double-series expansion; valid
-    when every factor monomial has positive x-degree."""
+    when every factor monomial has positive x-degree, or x-degree 0 and
+    a positive L-exponent."""
     terms = {}
     (lexp, rf), = E.numerator.items()
     mono = rf.as_monomial()
     terms[lexp] = {mono[1]: mono[0]}
+    # an x-free factor's L^{b*m} must be cancelled by the negative
+    # L-exponents reachable within x-degree N, so b*m <= reach
+    reach = max(0, -lexp) + sum(-f.b * (N // f.u.xexp)
+                                for f in E.factors if f.b < 0)
     for f in E.factors:
-        assert f.u.xexp >= 1
+        assert f.u.xexp >= 1 or (f.u.xexp == 0 and f.b > 0)
         new = {}
-        for m in range(N // f.u.xexp + 1):
+        top = N // f.u.xexp if f.u.xexp else reach // f.b
+        for m in range(top + 1):
             ce = f.u.coef ** m
             xe = f.u.xexp * m
             le = f.b * m

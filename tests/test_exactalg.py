@@ -1,11 +1,13 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from nsq.errors import DivisionByZeroPoly, PoleAtZero
-from nsq.exactalg import (Poly, RationalFunction, TruncatedSeries,
-                          poly_divmod, poly_gcd, poly_mul,
+from nsq.ctengine import parse_elliott
+from nsq.exactalg import (LazyRationalFunction, Poly, RationalFunction,
+                          TruncatedSeries, poly_divmod, poly_gcd, poly_mul,
                           series_from_rational, series_mul)
 
 
@@ -112,6 +114,62 @@ class TestRationalFunction:
         assert m.num == P(3)
         assert m.den == P(0, 0, 1)
         assert m.as_monomial() == (Fraction(3), -2)
+
+
+class TestLazyRationalFunction:
+    """The gcd-free scalar against RationalFunction, op by op."""
+
+    @staticmethod
+    def operand(rng):
+        """An RF: a Laurent monomial, a binomial 1 - c*x^k or its
+        inverse, or the numerator coefficient of a parsed Elliott
+        expression over a binomial."""
+        coef = Fraction(rng.choice((-3, -2, -1, 1, 2))) / rng.choice((1, 2))
+        binomial = 1 - RationalFunction.monomial(coef, rng.randint(-3, 4))
+        kind = rng.randrange(4)
+        if kind == 0:
+            return RationalFunction.monomial(coef, rng.randint(-3, 4))
+        if kind == 1:
+            return binomial
+        if kind == 2 and binomial:
+            return 1 / binomial
+        text = f"{rng.randint(1, 3)}*x^{rng.randint(0, 3)}*L/((1 - x))"
+        (value,) = parse_elliott(text).numerator.values()
+        return value / (binomial or 1)
+
+    def test_random_sequences_match_rational_function(self):
+        rng = random.Random(83)
+        ops = ("+", "-", "*", "/", "==")
+        for _ in range(320):
+            rf = self.operand(rng)
+            lazy = LazyRationalFunction.from_rf(rf)
+            for _ in range(rng.randint(1, 7)):
+                op = rng.choice(ops)
+                other = self.operand(rng) if rng.random() < 0.8 else rf
+                lo = LazyRationalFunction.from_rf(other)
+                if op == "==":
+                    assert (lazy == lo) == (rf == other)
+                    assert lazy == LazyRationalFunction.from_rf(rf)
+                    continue
+                if op == "/" and other.is_zero():
+                    assert lo.is_zero()
+                    with pytest.raises(ZeroDivisionError):
+                        lazy / lo
+                    continue
+                fn = {"+": operator.add, "-": operator.sub,
+                      "*": operator.mul, "/": operator.truediv}[op]
+                rf, lazy = fn(rf, other), fn(lazy, lo)
+                assert bool(lazy) == bool(rf)
+                out = lazy.to_rf()
+                assert out.num == rf.num and out.den == rf.den
+
+    def test_int_operands_and_zero(self):
+        x = LazyRationalFunction.monomial(1, 1)
+        assert (1 - x) - 1 == -x
+        assert ((x - x).num, (x - x).atoms) == ({}, {})
+        assert ((x + 2) / (1 - x) * (1 - x)).to_rf() == 2 + x.to_rf()
+        assert (x / (2 * x * x)).to_rf() == RationalFunction.monomial(
+            Fraction(1, 2), -1)
 
 
 class TestSeries:

@@ -89,6 +89,10 @@ class TestGeneratorsThm:
         assert {4, 11, 14, 5, 6, 12, 13} <= set(gens)
         assert generates_quotient(gens, Q((4, 11, 14), 3))
 
+    def test_empty_candidates_do_not_generate(self):
+        assert generates_quotient([], Q((4, 11, 14), 3)) is False
+        assert generates_quotient((), Q((3, 5), 8)) is False
+
     def test_quotient_by_member_is_naturals(self):
         report = verify_generators(Q((3, 5), 8))
         assert report.ok
