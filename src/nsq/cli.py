@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 resource cap
 exceeded, 4 internal cross-check failure or any other internal error.
+A reader that closes stdout early (`nsq gaps ... | head`) is not an
+error: the command stops writing and exits 0.
 Non-coprime constant-term instances fall back to the series path with a
 warning and exit 0.
 """
@@ -357,10 +359,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _RUNNERS[args.cmd](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:
@@ -372,6 +371,11 @@ def main(argv=None) -> int:
     except NsqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError:
+        # the reader has gone; the exit flush of stdout goes to devnull
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_OK
     except Exception as exc:  # a bug: one line, never a traceback
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL

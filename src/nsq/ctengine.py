@@ -66,9 +66,6 @@ class Monomial:
     def __pow__(self, n: int) -> "Monomial":
         return Monomial(self.coef ** n, self.xexp * n)
 
-    def is_one(self) -> bool:
-        return self.coef == 1 and self.xexp == 0
-
     def to_ratfun(self) -> RF:
         return RF.monomial(self.coef, self.xexp)
 

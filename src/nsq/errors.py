@@ -26,7 +26,7 @@ class PoleAtZero(NsqError):
 
 
 class NoMatchingRow(NsqError):
-    """The instance does not match any tabulated residue-pattern row."""
+    """The instance lies outside Table 1 (three generators, p in {2, 3})."""
 
 
 class NonCoprimeFactors(NsqError):

@@ -10,6 +10,7 @@ and every value is immutable after construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,23 +103,11 @@ class Poly:
     def scale(self, s):
         return Poly([c * s for c in self.coeffs])
 
-    def shift(self, k):
-        """Multiply by x^k (k >= 0)."""
-        if not self.coeffs:
-            return self
-        return Poly([0] * k + list(self.coeffs))
-
     def monic(self):
         if not self.coeffs:
             return self
         lc = self.lead
         return Poly([c / lc for c in self.coeffs])
-
-    def eval_at(self, v):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -150,10 +139,23 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly(q), Poly(r[:db])
 
 
+def _primitive(p: Poly) -> Poly:
+    """p over Q scaled to coprime integer coefficients; a constant, or p
+    over another field (such as RationalFunction), is returned as it is."""
+    cs = p.coeffs
+    if p.deg < 1 or not all(isinstance(c, (int, Fraction)) for c in cs):
+        return p
+    den = math.lcm(*[c.denominator for c in cs])
+    num = math.gcd(*[c.numerator for c in cs])
+    return Poly([Fraction(c.numerator * (den // c.denominator) // num)
+                 for c in cs])
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via Euclid; gcd(p, 0) is the monic multiple of p."""
+    """Monic gcd via Euclid; gcd(p, 0) is the monic multiple of p.  Each
+    remainder is made primitive, which keeps its coefficients small."""
     while not b.is_zero():
-        a, b = b, poly_divmod(a, b)[1]
+        a, b = b, _primitive(poly_divmod(a, b)[1])
     return a.monic()
 
 
@@ -258,21 +260,6 @@ class RationalFunction:
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
-
-    def inv(self):
-        return RationalFunction(self.den, self.num)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = RationalFunction(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def as_monomial(self):
         """(coef, exp) if this is coef*x^exp, else None."""

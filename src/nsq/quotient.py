@@ -1,6 +1,7 @@
 """Quotient semigroups <A>/p: direct membership, generator systems from
-the T_p tuple enumeration, the split for p-divisible generators,
-minimalization, and verification against the brute-force oracle.
+the T_p tuple enumeration, the split for p-divisible generators, the
+paper's Table 1 as the componentwise-minimal T_p tuples, minimalization,
+and verification against the brute-force oracle.
 
 n is in <A>/p iff p*n is in <A>, so every membership answer here is read
 off one certified table of <A> (`build_membership`), with no second sieve.
@@ -11,6 +12,7 @@ candidate system only to list the mismatches of a false answer.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import CapExceeded, GcdNotOne, NoMatchingRow, NotCoprimePart
@@ -174,54 +176,14 @@ def generates_quotient(gens, q: QuotientSpec,
     return bool(gens) and not _compare_with_quotient(gens, q, cap)[2]
 
 
-# Tabulated generator systems for three generators and p in {2, 3}; each
-# row maps the residue pattern (sorted) to coefficient vectors (c1,c2,c3)
-# and a divisor d, meaning (c1*a1 + c2*a2 + c3*a3)/d with the a_i sorted
-# by residue mod p.
-_TABLE1_ROWS = {
-    (2, (0, 0, 1)): [((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 1)],
-    (2, (0, 1, 1)): [((1, 0, 0), 2), ((0, 1, 0), 1), ((0, 0, 1), 1),
-                     ((0, 1, 1), 2)],
-    (2, (1, 1, 1)): [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
-                     ((1, 1, 0), 2), ((1, 0, 1), 2), ((0, 1, 1), 2)],
-    (3, (0, 0, 1)): [((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 1)],
-    (3, (0, 0, 2)): [((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 1)],
-    (3, (0, 1, 1)): [((1, 0, 0), 3), ((0, 1, 0), 1), ((0, 0, 1), 1),
-                     ((0, 1, 2), 3), ((0, 2, 1), 3)],
-    (3, (0, 1, 2)): [((1, 0, 0), 3), ((0, 1, 0), 1), ((0, 0, 1), 1),
-                     ((0, 1, 1), 3)],
-    (3, (0, 2, 2)): [((1, 0, 0), 3), ((0, 1, 0), 1), ((0, 0, 1), 1),
-                     ((0, 2, 1), 3), ((0, 1, 2), 3)],
-    (3, (1, 1, 1)): [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
-                     ((2, 1, 0), 3), ((2, 0, 1), 3), ((1, 2, 0), 3),
-                     ((0, 2, 1), 3), ((1, 0, 2), 3), ((0, 1, 2), 3),
-                     ((1, 1, 1), 3)],
-    (3, (1, 1, 2)): [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
-                     ((1, 0, 1), 3), ((0, 1, 1), 3), ((2, 1, 0), 3),
-                     ((1, 2, 0), 3)],
-    (3, (1, 2, 2)): [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
-                     ((1, 1, 0), 3), ((1, 0, 1), 3), ((0, 2, 1), 3),
-                     ((0, 1, 2), 3)],
-    (3, (2, 2, 2)): [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
-                     ((2, 1, 0), 3), ((2, 0, 1), 3), ((1, 2, 0), 3),
-                     ((0, 2, 1), 3), ((1, 0, 2), 3), ((0, 1, 2), 3),
-                     ((1, 1, 1), 3)],
-}
-
-
 def table1_generators(q: QuotientSpec) -> list[int]:
-    """Generator list from the tabulated three-generator rows for p=2,3."""
+    """Table 1 of the paper, three generators and p in {2, 3}: the
+    generators (divided by p where p divides them) and the values of the
+    componentwise-minimal T_p tuples over the coprime part."""
     if q.p not in (2, 3) or len(q.A.gens) != 3:
         raise NoMatchingRow("rows cover three distinct generators with p in {2, 3}")
-    by_t = sorted(q.A.gens, key=lambda a: (a % q.p, a))
-    pattern = tuple(a % q.p for a in by_t)
-    rows = _TABLE1_ROWS.get((q.p, pattern))
-    if rows is None:
-        raise NoMatchingRow(f"no row for p={q.p}, residues {pattern}")
-    out = set()
-    for coeffs, d in rows:
-        v = sum(c * a for c, a in zip(coeffs, by_t))
-        if v % d:
-            raise NoMatchingRow(f"residue pattern {pattern} does not divide {v} by {d}")
-        out.add(v // d)
-    return sorted(out)
+    tp = _enumerate_tp(q.remainder, q.p, DEFAULT_TP_CAP)
+    minimal = (v for x, v in zip(tp.tuples, tp.values)
+               if not any(y != x and all(map(operator.le, y, x))
+                          for y in tp.tuples))
+    return sorted({a // q.p for a in q.divisible}.union(q.remainder, minimal))

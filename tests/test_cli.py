@@ -213,6 +213,21 @@ class TestExitCodes:
         assert err == ("cap exceeded: residue rings of 4004001 cells "
                        "exceed cap 100000\n")
 
+    def test_closed_stdout_is_not_an_error(self):
+        # about 1.4 MB of output, more than any pipe buffer holds, so a
+        # write fails once the reader has gone
+        src = str(Path(nsq.__file__).resolve().parents[1])
+        with subprocess.Popen(
+                [sys.executable, "-m", "nsq.cli", "membership", "--gens",
+                 "300,301", "--bound", "200000"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src}) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert err == b""
+
     def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
         import nsq.semigroup
 

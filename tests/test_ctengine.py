@@ -204,6 +204,17 @@ class TestConstantTerm:
         got = series_from_rational(ct_constant_term(E), N).coeffs
         assert got == tuple(_brute_ct(E, N))
 
+    def test_large_coprime_coefficients(self):
+        # the result's one gcd has degree 23, between a numerator of degree
+        # 82 and a denominator of degree 93; a plain Euclid over Fraction
+        # spends seconds in coefficient growth there
+        E = parse_elliott(
+            "1/((1 - 3*x*L^10)*(1 - 5*x^2*L^-9)*(1 - 7*x^3*L^7))")
+        N = 40
+        got = series_from_rational(ct_constant_term(E), N).coeffs
+        assert got == tuple(_brute_ct(E, N))
+        assert any(got)
+
     def test_cap_charges_the_residue_rings(self):
         E = parse_elliott("1/((1 - L^2000)*(1 - x*L))")
         # b * (1 + scale degree) per ring: 2000 * 2001 + 1 * 2001

@@ -87,6 +87,26 @@ class TestPolyGcd:
                 if not p.is_zero():
                     assert poly_divmod(p, g)[1].is_zero()
 
+    def test_matches_plain_euclid(self):
+        def euclid(a, b):
+            # the textbook remainder sequence over Fraction, made monic
+            while not b.is_zero():
+                a, b = b, poly_divmod(a, b)[1]
+            return a.monic()
+
+        def rand(deg, top):
+            return Poly([Fraction(rng.randint(-top, top), rng.randint(1, 6))
+                         for _ in range(deg + 1)])
+
+        rng = random.Random(53)
+        for _ in range(150):
+            c = rand(rng.randint(0, 5), 9)
+            a = rand(rng.randint(0, 7), 30) * c
+            b = rand(rng.randint(0, 7), 30) * c
+            if a.is_zero() and b.is_zero():
+                continue
+            assert poly_gcd(a, b) == euclid(a, b)
+
 
 class TestRationalFunction:
     def test_normalization_idempotent(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,10 +7,11 @@ import pytest
 import nsq.quotient
 import nsq.semigroup
 from nsq.errors import GcdNotOne, NoMatchingRow
-from nsq.quotient import (QuotientSpec, enumerate_Tp, frobenius_quotient,
-                          generates_quotient, generators_thm,
-                          minimal_quotient_generators, quotient_membership,
-                          quotient_table, table1_generators, verify_generators)
+from nsq.quotient import (QuotientSpec, _enumerate_tp, enumerate_Tp,
+                          frobenius_quotient, generates_quotient,
+                          generators_thm, minimal_quotient_generators,
+                          quotient_membership, quotient_table,
+                          table1_generators, verify_generators)
 from nsq.semigroup import (GeneratorList, apery, build_membership, frobenius,
                            gaps, minimal_generators, semigroup_equal)
 
@@ -273,3 +275,90 @@ class TestTable1:
             q = Q(gens, p)
             assert generates_quotient(table1_generators(q), q)
             cases += 1
+
+
+# Table 1 of the paper as once typed by hand, kept as the oracle of the
+# derived table.  Each row maps the residue pattern (sorted) to
+# coefficient vectors (c1,c2,c3) and a divisor d, meaning
+# (c1*a1 + c2*a2 + c3*a3)/d with the a_i sorted by residue mod p.
+_TABLE1_ROWS = {
+    (2, (0, 0, 1)): [((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 1)],
+    (2, (0, 1, 1)): [((1, 0, 0), 2), ((0, 1, 0), 1), ((0, 0, 1), 1),
+                     ((0, 1, 1), 2)],
+    (2, (1, 1, 1)): [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
+                     ((1, 1, 0), 2), ((1, 0, 1), 2), ((0, 1, 1), 2)],
+    (3, (0, 0, 1)): [((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 1)],
+    (3, (0, 0, 2)): [((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 1)],
+    (3, (0, 1, 1)): [((1, 0, 0), 3), ((0, 1, 0), 1), ((0, 0, 1), 1),
+                     ((0, 1, 2), 3), ((0, 2, 1), 3)],
+    (3, (0, 1, 2)): [((1, 0, 0), 3), ((0, 1, 0), 1), ((0, 0, 1), 1),
+                     ((0, 1, 1), 3)],
+    (3, (0, 2, 2)): [((1, 0, 0), 3), ((0, 1, 0), 1), ((0, 0, 1), 1),
+                     ((0, 2, 1), 3), ((0, 1, 2), 3)],
+    (3, (1, 1, 1)): [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
+                     ((2, 1, 0), 3), ((2, 0, 1), 3), ((1, 2, 0), 3),
+                     ((0, 2, 1), 3), ((1, 0, 2), 3), ((0, 1, 2), 3),
+                     ((1, 1, 1), 3)],
+    (3, (1, 1, 2)): [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
+                     ((1, 0, 1), 3), ((0, 1, 1), 3), ((2, 1, 0), 3),
+                     ((1, 2, 0), 3)],
+    (3, (1, 2, 2)): [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
+                     ((1, 1, 0), 3), ((1, 0, 1), 3), ((0, 2, 1), 3),
+                     ((0, 1, 2), 3)],
+    (3, (2, 2, 2)): [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
+                     ((2, 1, 0), 3), ((2, 0, 1), 3), ((1, 2, 0), 3),
+                     ((0, 2, 1), 3), ((1, 0, 2), 3), ((0, 1, 2), 3),
+                     ((1, 1, 1), 3)],
+}
+
+
+def _typed_table1(gens, p):
+    """table1_generators the old way: look the rows up and evaluate them."""
+    by_t = sorted(gens, key=lambda a: (a % p, a))
+    out = set()
+    for coeffs, d in _TABLE1_ROWS[p, tuple(a % p for a in by_t)]:
+        v = sum(c * a for c, a in zip(coeffs, by_t))
+        assert v % d == 0
+        out.add(v // d)
+    return sorted(out)
+
+
+class TestTable1IsMinimalTp:
+    def test_every_pattern_has_a_row(self):
+        patterns = {(p, t) for p in (2, 3)
+                    for t in itertools.combinations_with_replacement(
+                        range(p), 3) if any(t)}
+        assert set(_TABLE1_ROWS) == patterns
+
+    @pytest.mark.parametrize("p, pattern", sorted(_TABLE1_ROWS))
+    def test_rows_are_units_and_minimal_tuples(self, p, pattern):
+        units = [(tuple(int(i == j) for j in range(3)), 1 if t else p)
+                 for i, t in enumerate(pattern)]
+        pos = [i for i, t in enumerate(pattern) if t]
+        tuples = _enumerate_tp(tuple(pattern[i] for i in pos), p, 10**3).tuples
+        minimal = [x for x in tuples
+                   if not any(y != x and all(a <= b for a, b in zip(y, x))
+                              for y in tuples)]
+        derived = units + [(tuple(dict(zip(pos, x)).get(i, 0)
+                                  for i in range(3)), p)
+                           for x in minimal]
+        rows = _TABLE1_ROWS[p, pattern]
+        assert len(set(rows)) == len(rows)
+        assert sorted(rows) == sorted(derived)
+
+    def test_matches_the_typed_rows(self):
+        rng = random.Random(59)
+        cases = 0
+        while cases < 2000:
+            p = rng.choice((2, 3))
+            gens = rng.sample(range(2, 80), 3)
+            if math.gcd(*gens) != 1:
+                continue
+            assert table1_generators(Q(gens, p)) == _typed_table1(gens, p)
+            cases += 1
+
+    def test_scope_message(self):
+        msg = r"rows cover three distinct generators with p in \{2, 3\}"
+        for gens, p in (((3, 5, 7), 5), ((3, 5), 2), ((3, 5, 7, 11), 3)):
+            with pytest.raises(NoMatchingRow, match=msg):
+                table1_generators(Q(gens, p))
