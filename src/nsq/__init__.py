@@ -10,10 +10,10 @@ from importlib import import_module as _import_module
 
 # public name -> defining submodule; __all__ and __getattr__ both read it
 _EXPORTS = {
-    **dict.fromkeys(("GeneratorList", "MembershipTable", "apery",
-                     "build_membership", "denumerant", "denumerant_series",
-                     "frobenius", "gaps", "minimal_generators",
-                     "semigroup_equal"), "semigroup"),
+    **dict.fromkeys(("GeneratorList", "MembershipTable", "TruncatedSeries",
+                     "apery", "build_membership", "denumerant",
+                     "denumerant_series", "frobenius", "gaps",
+                     "minimal_generators", "semigroup_equal"), "semigroup"),
     **dict.fromkeys(("QuotientSpec", "TpSet", "enumerate_Tp",
                      "frobenius_quotient", "generators_thm",
                      "minimal_quotient_generators", "quotient_membership",
@@ -24,9 +24,8 @@ _EXPORTS = {
                      "ct_constant_term", "ct_rgf_rational", "lemma_zero_check",
                      "normalize_expr", "parse_elliott", "reduce_factor_mod",
                      "render_elliott", "residue_A0"), "ctengine"),
-    **dict.fromkeys(("Poly", "RationalFunction", "TruncatedSeries",
-                     "poly_divmod", "poly_gcd", "series_from_rational"),
-                    "exactalg"),
+    **dict.fromkeys(("Poly", "RationalFunction", "poly_divmod", "poly_gcd",
+                     "series_from_rational"), "exactalg"),
 }
 _SUBMODULES = {*_EXPORTS.values(), "errors"}
 

@@ -10,7 +10,10 @@ warning and exit 0.
 from __future__ import annotations
 
 # Each command pays for its own imports: every runner imports the nsq
-# modules it uses, so `frobenius` never loads the rational-function kernel.
+# modules it uses, so `frobenius` never loads the rational-function kernel,
+# and `main` builds the parser of the one subcommand it runs.  Only
+# UsageError, raised here at the boundary, exits 1; a ValueError from
+# inside the library is a bug and exits 4.
 import argparse
 import os
 import sys
@@ -68,12 +71,19 @@ def _ratfun_json(f) -> dict:
             "den": {str(e): str(c) for e, c in enumerate(den) if c}}
 
 
+def _env_cap(name: str, default: int) -> int:
+    try:
+        return int(os.environ.get(name, default))
+    except ValueError as exc:
+        raise UsageError(exc) from None
+
+
 def _sieve_cap(args) -> int:
     if args.sieve_cap is not None:
         return args.sieve_cap
     from .semigroup import DEFAULT_SIEVE_CAP
 
-    return int(os.environ.get("NSQ_SIEVE_CAP", DEFAULT_SIEVE_CAP))
+    return _env_cap("NSQ_SIEVE_CAP", DEFAULT_SIEVE_CAP)
 
 
 def _tp_cap(args) -> int:
@@ -81,7 +91,21 @@ def _tp_cap(args) -> int:
         return args.tp_cap
     from .quotient import DEFAULT_TP_CAP
 
-    return int(os.environ.get("NSQ_TP_CAP", DEFAULT_TP_CAP))
+    return _env_cap("NSQ_TP_CAP", DEFAULT_TP_CAP)
+
+
+def _gens(args):
+    """The --gens list, with --p checked too where the command takes one,
+    before any library call; bad input is a usage error."""
+    from .semigroup import GeneratorList
+
+    try:
+        A = GeneratorList.parse(args.gens)
+    except ValueError as exc:
+        raise UsageError(exc) from None
+    if getattr(args, "p", 1) < 1:
+        raise UsageError("p must be a positive integer")
+    return A
 
 
 def non_negative_int(text: str) -> int:
@@ -107,42 +131,41 @@ def _add_common(p, need_p=False):
     _add_caps(p)
 
 
-def build_parser() -> _Parser:
-    ap = _Parser(prog="nsq", description=__doc__)
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("membership")
+def _membership_args(p):
     _add_common(p)
     p.add_argument("--bound", type=non_negative_int, default=None)
 
-    for name in ("frobenius", "gaps", "minimal-gens"):
-        _add_common(sub.add_parser(name))
 
-    p = sub.add_parser("apery")
+def _apery_args(p):
     _add_common(p)
     p.add_argument("--m", type=int, required=True)
 
-    p = sub.add_parser("denumerant")
+
+def _denumerant_args(p):
     _add_common(p)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--trunc", type=non_negative_int, default=None)
 
-    p = sub.add_parser("quotient")
+
+def _quotient_args(p):
     p.add_argument("action", choices=("gens", "minimal", "membership",
                                       "frobenius", "table1"))
     _add_common(p, need_p=True)
     p.add_argument("--bound", type=non_negative_int, default=None)
 
-    p = sub.add_parser("tp")
+
+def _with_p(p):
     _add_common(p, need_p=True)
 
-    p = sub.add_parser("rgf")
+
+def _rgf_args(p):
     p.add_argument("action", choices=("series", "rational", "frobenius", "gens"))
     _add_common(p, need_p=True)
     p.add_argument("--trunc", type=non_negative_int, default=20)
     p.add_argument("--verify", action="store_true")
 
-    p = sub.add_parser("ct")
+
+def _ct_args(p):
     p.add_argument("--gens", default=None)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--expr", default=None)
@@ -150,15 +173,11 @@ def build_parser() -> _Parser:
     _add_caps(p)
     p.add_argument("--verify", action="store_true")
 
-    p = sub.add_parser("verify")
-    _add_common(p, need_p=True)
-    return ap
-
 
 def _run_membership(args):
     from . import semigroup
 
-    A = semigroup.GeneratorList.parse(args.gens)
+    A = _gens(args)
     t = semigroup.build_membership(A, B=args.bound, cap=_sieve_cap(args))
     members = t.members()
     _emit({"bound": t.bound, "certified": t.certified, "members": members},
@@ -169,7 +188,7 @@ def _run_membership(args):
 def _run_frobenius(args):
     from . import semigroup
 
-    A = semigroup.GeneratorList.parse(args.gens)
+    A = _gens(args)
     f = semigroup.frobenius(A, cap=_sieve_cap(args))
     _emit({"frobenius": f}, args.format, "NONE" if f is None else str(f))
     return EXIT_OK
@@ -178,7 +197,7 @@ def _run_frobenius(args):
 def _run_gaps(args):
     from . import semigroup
 
-    A = semigroup.GeneratorList.parse(args.gens)
+    A = _gens(args)
     g = semigroup.gaps(A, cap=_sieve_cap(args))
     _emit({"gaps": g}, args.format, _ints_line(g))
     return EXIT_OK
@@ -187,7 +206,7 @@ def _run_gaps(args):
 def _run_apery(args):
     from . import semigroup
 
-    A = semigroup.GeneratorList.parse(args.gens)
+    A = _gens(args)
     ap = semigroup.apery(A, args.m, cap=_sieve_cap(args))
     _emit({"m": args.m, "apery": ap}, args.format, _ints_line(ap))
     return EXIT_OK
@@ -196,7 +215,7 @@ def _run_apery(args):
 def _run_minimal(args):
     from . import semigroup
 
-    A = semigroup.GeneratorList.parse(args.gens)
+    A = _gens(args)
     mg = semigroup.minimal_generators(A, cap=_sieve_cap(args))
     _emit({"minimal_generators": mg}, args.format, _ints_line(mg))
     return EXIT_OK
@@ -205,7 +224,7 @@ def _run_minimal(args):
 def _run_denumerant(args):
     from . import semigroup
 
-    A = semigroup.GeneratorList.parse(args.gens)
+    A = _gens(args)
     sieve = _sieve_cap(args)
     if args.trunc is not None:
         s = semigroup.denumerant_series(A, args.trunc, cap=sieve)
@@ -219,9 +238,9 @@ def _run_denumerant(args):
 
 
 def _run_quotient(args):
-    from . import quotient, semigroup
+    from . import quotient
 
-    A = semigroup.GeneratorList.parse(args.gens)
+    A = _gens(args)
     q = quotient.QuotientSpec(A, args.p)
     if args.action == "gens":
         g = quotient.generators_thm(q, cap=_tp_cap(args))
@@ -246,9 +265,9 @@ def _run_quotient(args):
 
 
 def _run_tp(args):
-    from . import quotient, semigroup
+    from . import quotient
 
-    A = semigroup.GeneratorList.parse(args.gens)
+    A = _gens(args)
     q = quotient.QuotientSpec(A, args.p)
     ts = quotient.enumerate_Tp(q, cap=_tp_cap(args))
     rows = [f"({','.join(map(str, x))}) -> {v}"
@@ -260,9 +279,9 @@ def _run_tp(args):
 
 
 def _run_rgf(args):
-    from . import rgf, semigroup
+    from . import rgf
 
-    A = semigroup.GeneratorList.parse(args.gens)
+    A = _gens(args)
     sieve = _sieve_cap(args)
     if args.action == "series":
         s = rgf.rgf_series(A, args.p, args.trunc, cap=sieve)
@@ -295,7 +314,10 @@ def _run_ct(args):
     from . import ctengine
 
     if args.expr is not None:
-        expr = ctengine.parse_elliott(args.expr)
+        try:
+            expr = ctengine.parse_elliott(args.expr)
+        except ValueError as exc:
+            raise UsageError(exc) from None
         f = ctengine.ct_constant_term(expr, cap=_sieve_cap(args))
         _emit({"expr": ctengine.render_elliott(expr), "ct": _ratfun_json(f)},
               args.format,
@@ -303,9 +325,9 @@ def _run_ct(args):
         return EXIT_OK
     if args.gens is None or args.p is None:
         raise UsageError("ct needs --expr or both --gens and --p")
-    from . import rgf, semigroup
+    from . import rgf
 
-    A = semigroup.GeneratorList.parse(args.gens)
+    A = _gens(args)
     try:
         f = ctengine.ct_rgf_rational(A, args.p, cap=_sieve_cap(args))
     except NonCoprimeFactors:
@@ -314,8 +336,11 @@ def _run_ct(args):
         _emit(rgf.to_json_dict(r), args.format, rgf.render_text(r))
         return EXIT_OK
     if args.verify:
+        from .exactalg import Poly
+
         r = rgf.rgf_rational(A, args.p, cap=_sieve_cap(args))
-        if f != r.to_rational():
+        # f = r by cross-multiplication, so r is never normalised
+        if f.num * r.denominator() != Poly.from_ints(r.numerator) * f.den:
             print("verify: CT path disagrees with series path", file=sys.stderr)
             return EXIT_INTERNAL
     _emit({"ct": _ratfun_json(f)}, args.format, _format_ratfun(f))
@@ -323,9 +348,9 @@ def _run_ct(args):
 
 
 def _run_verify(args):
-    from . import quotient, semigroup
+    from . import quotient
 
-    A = semigroup.GeneratorList.parse(args.gens)
+    A = _gens(args)
     q = quotient.QuotientSpec(A, args.p)
     report = quotient.verify_generators(q, cap=_sieve_cap(args),
                                         tp_cap=_tp_cap(args))
@@ -340,26 +365,49 @@ def _run_verify(args):
     return EXIT_OK if ok else EXIT_INTERNAL
 
 
-_RUNNERS = {
-    "membership": _run_membership,
-    "frobenius": _run_frobenius,
-    "gaps": _run_gaps,
-    "apery": _run_apery,
-    "minimal-gens": _run_minimal,
-    "denumerant": _run_denumerant,
-    "quotient": _run_quotient,
-    "tp": _run_tp,
-    "rgf": _run_rgf,
-    "ct": _run_ct,
-    "verify": _run_verify,
+# name -> (adds the subcommand's arguments, runs it), in `nsq --help` order
+_COMMANDS = {
+    "membership": (_membership_args, _run_membership),
+    "frobenius": (_add_common, _run_frobenius),
+    "gaps": (_add_common, _run_gaps),
+    "minimal-gens": (_add_common, _run_minimal),
+    "apery": (_apery_args, _run_apery),
+    "denumerant": (_denumerant_args, _run_denumerant),
+    "quotient": (_quotient_args, _run_quotient),
+    "tp": (_with_p, _run_tp),
+    "rgf": (_rgf_args, _run_rgf),
+    "ct": (_ct_args, _run_ct),
+    "verify": (_with_p, _run_verify),
 }
+
+
+def build_parser() -> _Parser:
+    ap = _Parser(prog="nsq", description=__doc__)
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    for name, (add_args, _) in _COMMANDS.items():
+        add_args(sub.add_parser(name))
+    return ap
+
+
+def _parse(argv):
+    """(runner, args).  A known subcommand builds only its own parser,
+    the one `build_parser` adds as `nsq <cmd>`, so its help and errors
+    read the same; help, no command or an unknown one take the full
+    parser."""
+    if argv and argv[0] in _COMMANDS:
+        add_args, run = _COMMANDS[argv[0]]
+        parser = _Parser(prog=f"nsq {argv[0]}")
+        add_args(parser)
+        return run, parser.parse_args(argv[1:])
+    args = build_parser().parse_args(argv)
+    return _COMMANDS[args.cmd][1], args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return _RUNNERS[args.cmd](args)
-    except (UsageError, ValueError) as exc:
+        run, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return run(args)
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (CapExceeded, DivisionByZeroPoly, GcdNotOne,
@@ -43,16 +43,15 @@ _ZERO = LRF({})
 _ONE = LRF.monomial(1, 0)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(namedtuple("Monomial", "coef xexp")):
     """Signed monomial coef * x^xexp with exact rational coef."""
 
-    coef: Fraction
-    xexp: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coef:
+    def __new__(cls, coef: Fraction, xexp: int):
+        if not coef:
             raise ValueError("monomial coefficient must be nonzero")
+        return tuple.__new__(cls, (coef, xexp))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.coef * other.coef, self.xexp + other.xexp)
@@ -73,12 +72,10 @@ class Monomial:
         return LRF.monomial(self.coef, self.xexp)
 
 
-@dataclass(frozen=True)
-class BinomialFactor:
+class BinomialFactor(namedtuple("BinomialFactor", "u b")):
     """The denominator factor (1 - u * L^b)."""
 
-    u: Monomial
-    b: int
+    __slots__ = ()
 
     def as_poly(self) -> Poly:
         """Polynomial in L over Q(x), with the engine's scalar as
@@ -88,11 +85,10 @@ class BinomialFactor:
         return Poly(coeffs)
 
 
-@dataclass(frozen=True)
-class Residue:
-    factor_index: int
-    A0: RF
-    contributing: str  # "small" or "large"
+class Residue(namedtuple("Residue", "factor_index A0 contributing")):
+    """`contributing` is "small" or "large"."""
+
+    __slots__ = ()
 
 
 class CTExpr:

@@ -6,15 +6,17 @@ it is used both over Fraction (polynomials in x) and over
 `RationalFunction` (polynomials in a second variable whose coefficients
 are rational functions in x) or `LazyRationalFunction`, the gcd-free
 scalar the constant-term engine computes with.  All operations are pure
-and every value is immutable after construction.
+and every value is immutable after construction.  `TruncatedSeries` is
+defined in `semigroup`, whose denumerant series needs no kernel, and is
+re-exported here.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZeroPoly, PoleAtZero
+from .semigroup import TruncatedSeries
 
 
 def _trim(coeffs):
@@ -436,21 +438,6 @@ def _dense(terms: dict, shift: int) -> Poly:
     for e, c in terms.items():
         coeffs[e + shift] = c
     return Poly(coeffs)
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients c_0..c_N of a formal power series, exact."""
-
-    order: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("coefficient list must have length order + 1")
-
-    def coeff(self, n):
-        return self.coeffs[n]
 
 
 def series_from_rational(f: RationalFunction, n: int) -> TruncatedSeries:

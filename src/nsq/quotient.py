@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CapExceeded, GcdNotOne, NoMatchingRow, NotCoprimePart
 from .semigroup import (DEFAULT_SIEVE_CAP, GeneratorList, MembershipTable,
@@ -23,19 +23,18 @@ from .semigroup import (DEFAULT_SIEVE_CAP, GeneratorList, MembershipTable,
 DEFAULT_TP_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class QuotientSpec:
+class QuotientSpec(namedtuple("QuotientSpec", "A p")):
     """A quotient instance <A>/p with the generators split into the
     p-divisible part and the coprime-residue part."""
 
-    A: GeneratorList
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 1:
+    def __new__(cls, A: GeneratorList, p: int):
+        if p < 1:
             raise ValueError("p must be a positive integer")
-        if self.A.g != 1:
+        if A.g != 1:
             raise GcdNotOne("quotients are taken of numerical semigroups only")
+        return tuple.__new__(cls, (A, p))
 
     @property
     def divisible(self) -> tuple[int, ...]:
@@ -46,15 +45,11 @@ class QuotientSpec:
         return tuple(a for a in self.A.gens if a % self.p != 0)
 
 
-@dataclass(frozen=True)
-class TpSet:
+class TpSet(namedtuple("TpSet", "p gens tuples values")):
     """Tuples x in [0, p-1]^n with positive residue sum divisible by p,
     together with the values (sum x_i a_i)/p they contribute."""
 
-    p: int
-    gens: tuple[int, ...]
-    tuples: tuple[tuple[int, ...], ...]
-    values: tuple[int, ...]
+    __slots__ = ()
 
 
 def enumerate_Tp(q: QuotientSpec, cap: int = DEFAULT_TP_CAP) -> TpSet:
@@ -129,13 +124,10 @@ def minimal_quotient_generators(q: QuotientSpec,
     return _minimal_generators(quotient_table(q, cap=cap))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    bound: int
-    generators: tuple[int, ...]
-    quotient_frobenius: int | None
-    mismatches: tuple[int, ...]
+class VerificationReport(namedtuple(
+        "VerificationReport",
+        "ok bound generators quotient_frobenius mismatches")):
+    __slots__ = ()
 
 
 def _compare_with_quotient(gens, q: QuotientSpec, cap: int):

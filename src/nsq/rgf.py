@@ -6,44 +6,45 @@ numerator support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CapExceeded, GcdNotOne, NegativeNumerator
 from .semigroup import (DEFAULT_SIEVE_CAP, GeneratorList, denumerant_series,
                         frobenius)
 
 
-@dataclass(frozen=True)
-class RGFSeries:
+class RGFSeries(namedtuple("RGFSeries", "A p order coeffs")):
     """Coefficients c_n = d(p*n; A) for n = 0..order."""
 
-    A: GeneratorList
-    p: int
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RGFRational:
+class RGFRational(namedtuple("RGFRational",
+                             "numerator denom_factors certified_to")):
     """Closed form numerator / prod_i (1 - x^{b_i}); `certified_to` is the
     degree through which `rgf rational --verify` checks the expansion
     against the series."""
 
-    numerator: tuple[int, ...]
-    denom_factors: tuple[int, ...]
-    certified_to: int
+    __slots__ = ()
 
     def numerator_support(self) -> dict[int, int]:
         return {e: c for e, c in enumerate(self.numerator) if c}
 
-    def to_rational(self) -> RationalFunction:
+    def denominator(self) -> Poly:
+        """prod_i (1 - x^{b_i}), unreduced."""
         # loaded here so that only --verify and the CT route load exactalg
-        from .exactalg import Poly, RationalFunction
+        from .exactalg import Poly
 
         den = Poly.from_ints([1])
         for b in self.denom_factors:
             den = den * Poly.one_minus_pow(b)
-        return RationalFunction(Poly.from_ints(self.numerator), den)
+        return den
+
+    def to_rational(self) -> RationalFunction:
+        from .exactalg import Poly, RationalFunction
+
+        return RationalFunction(Poly.from_ints(self.numerator),
+                                self.denominator())
 
 
 def rgf_series(A: GeneratorList, p: int, N: int,

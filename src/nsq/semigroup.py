@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CapExceeded, GcdNotOne, NotAMember
 
 DEFAULT_SIEVE_CAP = 10**8
 
 
-@dataclass(frozen=True)
-class GeneratorList:
+class GeneratorList(namedtuple("GeneratorList", "seq gens g")):
     """Validated generator tuple.
 
     `seq` keeps the input order (duplicates included, as they matter for
@@ -30,9 +29,7 @@ class GeneratorList:
     used for semigroup computations; `g` is the gcd of all entries.
     """
 
-    seq: tuple[int, ...]
-    gens: tuple[int, ...]
-    g: int
+    __slots__ = ()
 
     @classmethod
     def of(cls, *values: int) -> "GeneratorList":
@@ -62,8 +59,8 @@ class GeneratorList:
         return ",".join(str(a) for a in self.seq)
 
 
-@dataclass(frozen=True)
-class MembershipTable:
+class MembershipTable(namedtuple("MembershipTable",
+                                  "gens bound bits certified run_end")):
     """Representability flags for 0..bound.
 
     `certified` means `member(n)` is exact for every n, past `bound` too:
@@ -73,11 +70,7 @@ class MembershipTable:
     (for a quotient table, those of <A>).
     """
 
-    gens: tuple[int, ...]
-    bound: int
-    bits: bytes
-    certified: bool
-    run_end: int | None
+    __slots__ = ()
 
     def member(self, n: int) -> bool:
         if n < 0:
@@ -205,6 +198,22 @@ def semigroup_equal(A: GeneratorList, B: GeneratorList,
             and all(ta.member(b) for b in B.gens))
 
 
+class TruncatedSeries(namedtuple("TruncatedSeries", "order coeffs")):
+    """Coefficients c_0..c_N of a formal power series, exact.  It lives
+    here, not in `exactalg`, so that a denumerant series loads no
+    rational-function kernel."""
+
+    __slots__ = ()
+
+    def __new__(cls, order, coeffs):
+        if len(coeffs) != order + 1:
+            raise ValueError("coefficient list must have length order + 1")
+        return tuple.__new__(cls, (order, coeffs))
+
+    def coeff(self, n):
+        return self.coeffs[n]
+
+
 def denumerant(a0: int, A: GeneratorList,
                cap: int = DEFAULT_SIEVE_CAP) -> int:
     """Number of N-solutions of sum x_i a_i = a0, over the input sequence
@@ -217,9 +226,6 @@ def denumerant(a0: int, A: GeneratorList,
 def denumerant_series(A: GeneratorList, N: int,
                       cap: int = DEFAULT_SIEVE_CAP) -> TruncatedSeries:
     """d(0..N; A) by the unbounded-knapsack prefix recurrence."""
-    # loaded here so that the sieve commands never load exactalg
-    from .exactalg import TruncatedSeries
-
     if N < 0:
         raise ValueError(f"truncation must be non-negative, got {N}")
     if N + 1 > cap:

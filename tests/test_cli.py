@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nsq
-from nsq.cli import main
+from nsq.cli import UsageError, build_parser, main
 from nsq.rgf import from_json_dict, rgf_rational
 from nsq.semigroup import GeneratorList
 
@@ -129,6 +129,22 @@ class TestCtCommand:
         assert (code, out, err) == (0, f"{shown}\nCT = (1)/(1)\n", "")
 
 
+    def test_verify_catches_a_wrong_closed_form(self, capsys, monkeypatch):
+        import nsq.rgf
+
+        right = nsq.rgf.rgf_rational
+
+        def wrong(A, p, cap):
+            r = right(A, p, cap=cap)
+            return r._replace(numerator=(r.numerator[0] + 1,) + r.numerator[1:])
+
+        monkeypatch.setattr(nsq.rgf, "rgf_rational", wrong)
+        code, out, err = run(capsys, "ct", "--gens", "3,5", "--p", "2",
+                             "--verify")
+        assert (code, out) == (4, "")
+        assert err == "verify: CT path disagrees with series path\n"
+
+
 class TestVerifyCommand:
     def test_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--gens", "5,6", "--p", "3")
@@ -228,6 +244,38 @@ class TestExitCodes:
             assert proc.wait(timeout=60) == 0
         assert err == b""
 
+    def test_internal_value_error_is_internal(self, capsys, monkeypatch):
+        import nsq.semigroup
+
+        def broken(A, cap):
+            raise ValueError("membership at 9 exceeds uncertified bound 5")
+
+        monkeypatch.setattr(nsq.semigroup, "frobenius", broken)
+        code, out, err = run(capsys, "frobenius", "--gens", "3,5")
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: ValueError(")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("frobenius", "--gens", "3,,5"), "cannot parse generator list '3,,5'"),
+        (("quotient", "gens", "--gens", "3,0", "--p", "2"),
+         "cannot parse generator list '3,0'"),
+        # --p is checked before the gcd(A) = 1 check of the library
+        (("rgf", "rational", "--gens", "2,4", "--p", "0"),
+         "p must be a positive integer"),
+        (("ct", "--gens", "3,5", "--p", "-1"), "p must be a positive integer"),
+        (("ct", "--expr", "1/((1 - x*L^-2)"), "unexpected end of expression"),
+        (("ct", "--expr", "1/((1 - y))"), "bad token at ' y))'"),
+    ])
+    def test_user_input_is_usage_error(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"usage error: {message}\n")
+
+    def test_malformed_env_cap_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("NSQ_TP_CAP", "ten")
+        code, out, err = run(capsys, "tp", "--gens", "4,11", "--p", "3")
+        assert (code, out) == (1, "")
+        assert err == ("usage error: invalid literal for int() with base 10: "
+                       "'ten'\n")
+
     def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
         import nsq.semigroup
 
@@ -254,6 +302,25 @@ def test_frobenius_loads_only_the_semigroup_layer():
     assert {m for m in loaded if m.split(".")[0] == "nsq"} == {
         "nsq", "nsq.cli", "nsq.errors", "nsq.semigroup"}
     assert "fractions" not in loaded and "json" not in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("denumerant", "--gens", "3,5", "--n", "15"),
+    ("rgf", "series", "--gens", "3,5", "--p", "2"),
+    ("rgf", "frobenius", "--gens", "3,5", "--p", "2"),
+])
+def test_series_commands_load_no_kernel(argv):
+    src = str(Path(nsq.__file__).resolve().parents[1])
+    code = ("import sys; from nsq.cli import main; "
+            "code = main(sys.argv[1:]); print(code, *sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    status, *loaded = proc.stdout.splitlines()[-1].split()
+    assert status == "0"
+    assert not {"nsq.exactalg", "fractions", "dataclasses"} & set(loaded)
 
 
 def test_lazy_exports():
@@ -325,3 +392,42 @@ def test_cli_fuzz_exit_codes(argv):
     assert code in range(5)
     if code == 0 and "json" in argv:
         json.loads(out.getvalue())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_fuzz_never_internal(argv):
+    # every malformed input is refused at the boundary with exit 1, 2 or 3
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code != 4, err.getvalue()
+
+
+def _full_parser_says(argv):
+    """(stdout, usage-error message) of the full `nsq` parser on argv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            build_parser().parse_args(argv)
+        except UsageError as exc:
+            return out.getvalue(), str(exc)
+        except SystemExit:
+            pass
+    return out.getvalue(), None
+
+
+@pytest.mark.parametrize("cmd", sorted(_COMMANDS))
+def test_subcommand_parser_reads_as_the_full_parser(capsys, cmd):
+    help_text, _ = _full_parser_says([cmd, "--help"])
+    assert help_text.startswith(f"usage: nsq {cmd} ")
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (help_text, "")
+
+    # --gens is required except on ct, whose --gens without a value fails
+    argv = [cmd, *_ACTIONS.get(cmd, ())[:1]] + (["--gens"] if cmd == "ct" else [])
+    _, message = _full_parser_says(argv)
+    assert "--gens" in message
+    assert run(capsys, *argv) == (1, "", f"usage error: {message}\n")
