@@ -23,7 +23,8 @@ The engine divides only by binomials (the L-free factors and each
 1 - s) and by monomials, so the multisets stay small.
 `RationalFunction` is the type at the boundary: the numerator of a
 `CTExpr` is converted once on entry, and each result is normalised
-once, with one gcd, on exit.
+once on exit, atom by atom and without a Euclid
+(`exactalg.rf_from_atoms`).
 """
 from __future__ import annotations
 

@@ -5,8 +5,10 @@ Rational scalars are `fractions.Fraction`.  `Poly` is coefficient-generic:
 it is used both over Fraction (polynomials in x) and over
 `RationalFunction` (polynomials in a second variable whose coefficients
 are rational functions in x) or `LazyRationalFunction`, the gcd-free
-scalar the constant-term engine computes with.  All operations are pure
-and every value is immutable after construction.  `TruncatedSeries` is
+scalar the constant-term engine computes with; `rf_from_atoms` reduces
+such a scalar, or any numerator over atoms with constant term 1, to a
+`RationalFunction`.  All operations are pure and every value is
+immutable after construction.  `TruncatedSeries` is
 defined in `semigroup`, whose denumerant series needs no kernel, and is
 re-exported here.
 """
@@ -298,7 +300,9 @@ class LazyRationalFunction:
     lifts both sides to the per-atom maximum; a quotient adds the
     divisor's numerator, less its monomial factor, as one more atom.  A
     value is zero exactly when its numerator is empty, and `to_rf`
-    normalises it with the one gcd of its life.  This is the scalar of
+    normalises it once, cancelling atom by atom against the numerator
+    (`rf_from_atoms`), with no Euclid unless a reducible atom shares a
+    factor with the numerator.  This is the scalar of
     G. Xin, A fast algorithm for MacMahon's partition analysis, Electron.
     J. Combin. 11 (2004) R58.  Instances are immutable.
     """
@@ -418,26 +422,212 @@ class LazyRationalFunction:
         return LazyRationalFunction(num, atoms)
 
     def to_rf(self) -> RationalFunction:
-        """The normalised value: one RationalFunction construction."""
-        if not self.num:
-            return RationalFunction(0)
-        den = {0: Fraction(1)}
-        for atom, k in self.atoms.items():
-            for _ in range(k):
-                den = _mul_terms(den.items(), atom)
-        shift = max(0, -min(self.num))
-        return RationalFunction(_dense(self.num, shift), _dense(den, shift))
+        """The normalised value, reduced atom by atom (`rf_from_atoms`)."""
+        return rf_from_atoms(self.num, self.atoms)
 
     def __repr__(self):
         return f"LazyRationalFunction({self.num!r}, {self.atoms!r})"
 
 
-def _dense(terms: dict, shift: int) -> Poly:
-    """x^shift times the Laurent polynomial {exp: coef}, as a Poly."""
-    coeffs = [Fraction(0)] * (shift + max(terms) + 1)
-    for e, c in terms.items():
-        coeffs[e + shift] = c
-    return Poly(coeffs)
+# ---------------------------------------------------------------------------
+# exit normalisation: a Laurent numerator over atoms with constant term 1,
+# reduced in integer arithmetic.  Integer polynomials are lists, constant term
+# first, with a nonzero last entry.
+
+# 61-bit primes for the modular coprimality test
+_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+_CYCLOTOMIC = {}
+_ZERO_F = Fraction(0)
+
+
+def _divisors(n: int) -> set:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return {*small, *(n // d for d in small)}
+
+
+def _cyclotomic(d: int) -> tuple:
+    """F_d = prod_{e | d} (1 - x^e)^mu(d/e) as its (e, mu) pairs, mu != 0.
+
+    F_d is the cyclotomic polynomial Phi_d for d > 1 and 1 - x = -Phi_1
+    for d = 1, so 1 - x^k = prod_{d | k} F_d with no unit, and every F_d
+    is irreducible with constant term 1.  Cached per d."""
+    f = _CYCLOTOMIC.get(d)
+    if f is None:
+        f, n, q = [(d, 1)], d, 2
+        while q * q <= n:
+            if n % q == 0:
+                f += [(e // q, -mu) for e, mu in f]
+                while n % q == 0:
+                    n //= q
+            q += 1
+        if n > 1:
+            f += [(e // n, -mu) for e, mu in f]
+        f = _CYCLOTOMIC[d] = tuple(f)
+    return f
+
+
+def _one_minus_pow(e: int) -> list:
+    return [1] + [0] * (e - 1) + [-1]
+
+
+def _over_cyclotomic(p: list, d: int):
+    """p / F_d if exact, else None, by 2^omega(d) binomial passes: the
+    factors with mu = -1 multiply first, so each division by a factor
+    with mu = 1 is exact exactly when F_d divides p."""
+    f = _cyclotomic(d)
+    for e, mu in f:
+        if mu < 0:
+            p = _times(p, _one_minus_pow(e))
+    for e, mu in f:
+        if mu > 0:
+            p = _over(p, _one_minus_pow(e))
+            if p is None:
+                return None
+    return p
+
+
+def _times(p: list, a: list) -> list:
+    out = [0] * (len(p) + len(a) - 1)
+    for j, c in enumerate(a):
+        if c:
+            for i, b in enumerate(p):
+                out[i + j] += b * c
+    return out
+
+
+def _over(p: list, a: list):
+    """p / a over the integers if exact, else None.  a is primitive, so by
+    Gauss's lemma a quotient over Q has integer coefficients."""
+    da = len(a) - 1
+    if len(p) <= da:
+        return None
+    r = list(p)
+    lead = a[-1]
+    terms = [(j, c) for j, c in enumerate(a[:-1]) if c]
+    q = [0] * (len(p) - da)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + da]
+        if c:
+            f, rem = divmod(c, lead)
+            if rem:
+                return None
+            q[k] = f
+            for j, cj in terms:
+                r[k + j] -= f * cj
+    return None if any(r[:da]) else q
+
+
+def _rem_mod(u: list, v: list, P: int) -> list:
+    """u mod v over GF(P), trimmed."""
+    dv = len(v) - 1
+    u = list(u)
+    if len(u) > dv:
+        inv = pow(v[-1], -1, P)
+        terms = [(j, c) for j, c in enumerate(v[:-1]) if c]
+        for k in range(len(u) - 1 - dv, -1, -1):
+            f = u[k + dv] * inv % P
+            if f:
+                for j, c in terms:
+                    u[k + j] = (u[k + j] - f * c) % P
+        del u[dv:]
+    while u and not u[-1]:
+        u.pop()
+    return u
+
+
+def _coprime_mod_p(p: list, a: list) -> bool:
+    """True when gcd(p, a) = 1 over Q is proved modulo a prime P that
+    divides neither leading coefficient: a common factor of positive
+    degree keeps its degree mod P, so a constant gcd mod P rules it out
+    (W. S. Brown, J. ACM 18 (1971)).  False means undecided."""
+    P = next((P for P in _PRIMES if p[-1] % P and a[-1] % P), None)
+    if P is None:
+        return False
+    u, v = [c % P for c in a], _rem_mod([c % P for c in p], a, P)
+    while v:
+        u, v = v, _rem_mod(u, v, P)
+    return len(u) == 1
+
+
+def _ints(terms, low: int) -> tuple[list, int]:
+    """Integer coefficients of sum c x^(e - low) over (e, c) pairs, and the
+    positive lcm of the coefficient denominators that clears them."""
+    den = math.lcm(*[c.denominator for _, c in terms])
+    out = [0] * (max(e for e, _ in terms) - low + 1)
+    for e, c in terms:
+        out[e - low] = c.numerator * (den // c.denominator)
+    return out, den
+
+
+def rf_from_atoms(num: dict, atoms: dict) -> RationalFunction:
+    """The reduced RationalFunction num / prod atom^mult, with no Euclid
+    unless a reducible atom shares a factor with the numerator.
+
+    `num` maps exponents of any sign to nonzero rationals.  Each atom is
+    a polynomial with constant term 1, written as its sorted (exp, coef)
+    pairs, mapped to its multiplicity; atoms are coprime to x, so the
+    power of x needs no gcd.  The numerator is cleared to integers once.
+    An atom 1 - x^k is the product of the irreducible F_d, d | k (see
+    `_cyclotomic`), so exact division decides how often each cancels.
+    Any other atom is divided out while the division is exact; then
+    `_coprime_mod_p` proves it coprime to the rest.  Only when that
+    fails, which by Capelli's theorem needs a reducible atom such as
+    1 - 4x^2, does one Euclid `poly_gcd` take out the common factor.
+    The denominator is rebuilt from what did not cancel, and the result
+    is made monic directly, with no second gcd.
+    """
+    if not num:
+        return RationalFunction(0)
+    # the value is scale * N / (x^-low * prod atoms), N in integers
+    low = min(num)
+    N, clear = _ints(num.items(), low)
+    g = math.gcd(*N)
+    N = [c // g for c in N]
+    scale = Fraction(g, clear)
+    cyclo = {}
+    others = []
+    for atom, m in atoms.items():
+        if len(atom) == 2 and atom[1][1] == -1:
+            for d in _divisors(atom[1][0]):
+                cyclo[d] = cyclo.get(d, 0) + m
+        else:
+            a, clear = _ints(atom, 0)
+            scale *= clear ** m
+            others.append((a, m))
+    net = {}  # e -> exponent of (1 - x^e) in what is left of the F_d
+    for d, m in cyclo.items():
+        while m and (q := _over_cyclotomic(N, d)) is not None:
+            N, m = q, m - 1
+        for e, mu in _cyclotomic(d) if m else ():
+            net[e] = net.get(e, 0) + mu * m
+    den = [1]
+    for a, m in others:
+        while m and (q := _over(N, a)) is not None:
+            N, m = q, m - 1
+        rest = [1]
+        for _ in range(m):
+            rest = _times(rest, a)
+        if m and not _coprime_mod_p(N, a):
+            g = _primitive(poly_gcd(Poly.from_ints(N), Poly.from_ints(rest)))
+            g = [int(c) for c in g.coeffs]
+            N, rest = _over(N, g), _over(rest, g)
+        den = _times(den, rest)
+    # multiply before dividing, so that every division is exact
+    for e, k in net.items():
+        for _ in range(k):
+            den = _times(den, _one_minus_pow(e))
+    for e, k in net.items():
+        for _ in range(-k):
+            den = _over(den, _one_minus_pow(e))
+    lead = den[-1]
+    scale /= lead
+    sn, sd = scale.numerator, scale.denominator
+    rf = object.__new__(RationalFunction)
+    rf.num = Poly([_ZERO_F] * max(low, 0)
+                  + [Fraction(c * sn, sd) if c else _ZERO_F for c in N])
+    rf.den = Poly([_ZERO_F] * max(-low, 0)
+                  + [Fraction(c, lead) if c else _ZERO_F for c in den])
+    return rf
 
 
 def series_from_rational(f: RationalFunction, n: int) -> TruncatedSeries:

@@ -30,6 +30,16 @@ class RGFRational(namedtuple("RGFRational",
     def numerator_support(self) -> dict[int, int]:
         return {e: c for e, c in enumerate(self.numerator) if c}
 
+    def taylor(self, n: int) -> tuple[int, ...]:
+        """Coefficients 0..n of the expansion at 0, in integers: one
+        prefix-sum pass c_m += c_{m-b} per factor 1/(1 - x^b)."""
+        c = list(self.numerator[:n + 1])
+        c += [0] * (n + 1 - len(c))
+        for b in self.denom_factors:
+            for m in range(b, n + 1):
+                c[m] += c[m - b]
+        return tuple(c)
+
     def denominator(self) -> Poly:
         """prod_i (1 - x^{b_i}), unreduced."""
         # loaded here so that only --verify and the CT route load exactalg
@@ -41,10 +51,14 @@ class RGFRational(namedtuple("RGFRational",
         return den
 
     def to_rational(self) -> RationalFunction:
-        from .exactalg import Poly, RationalFunction
+        """The reduced form, cancelled atom by atom (`rf_from_atoms`)."""
+        from .exactalg import rf_from_atoms
 
-        return RationalFunction(Poly.from_ints(self.numerator),
-                                self.denominator())
+        atoms = {}
+        for b in self.denom_factors:
+            atom = ((0, 1), (b, -1))
+            atoms[atom] = atoms.get(atom, 0) + 1
+        return rf_from_atoms(self.numerator_support(), atoms)
 
 
 def rgf_series(A: GeneratorList, p: int, N: int,

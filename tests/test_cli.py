@@ -87,6 +87,21 @@ class TestRgfCommands:
                            "--p", "3", "--verify")
         assert code == 0 and err == ""
 
+    def test_verify_catches_a_wrong_closed_form(self, capsys, monkeypatch):
+        import nsq.rgf
+
+        right = nsq.rgf.rgf_rational
+
+        def wrong(A, p, cap):
+            r = right(A, p, cap=cap)
+            return r._replace(numerator=r.numerator[:-1] + (r.numerator[-1] + 1,))
+
+        monkeypatch.setattr(nsq.rgf, "rgf_rational", wrong)
+        code, out, err = run(capsys, "rgf", "rational", "--gens", "4,11,14",
+                             "--p", "3", "--verify")
+        assert (code, out) == (4, "")
+        assert err == "verify: closed form disagrees with series\n"
+
     def test_verify_horizon_over_cap(self, capsys):
         # the closed form is cheap, but its verify horizon is 971,305,289
         code, _, err = run(capsys, "rgf", "rational", "--gens", "997,991,983",
@@ -143,6 +158,19 @@ class TestCtCommand:
                              "--verify")
         assert (code, out) == (4, "")
         assert err == "verify: CT path disagrees with series path\n"
+
+    def test_large_exit_normalisation(self):
+        # the result's Euclid gcd has degree 97 between degrees 318 and
+        # 371; atom-wise cancellation needs no Euclid at all
+        src = str(Path(nsq.__file__).resolve().parents[1])
+        expr = "1/((1 - 3*x*L^40)*(1 - 5*x^2*L^-37)*(1 - 7*x^3*L^23))"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nsq.cli", "ct", "--expr", expr,
+             "--format", "json"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        ct = json.loads(proc.stdout)["ct"]
+        assert (max(map(int, ct["num"])), max(map(int, ct["den"]))) == (221, 274)
 
 
 class TestVerifyCommand:
@@ -309,6 +337,7 @@ def test_frobenius_loads_only_the_semigroup_layer():
     ("denumerant", "--gens", "3,5", "--n", "15"),
     ("rgf", "series", "--gens", "3,5", "--p", "2"),
     ("rgf", "frobenius", "--gens", "3,5", "--p", "2"),
+    ("rgf", "rational", "--gens", "4,11,14", "--p", "3", "--verify"),
 ])
 def test_series_commands_load_no_kernel(argv):
     src = str(Path(nsq.__file__).resolve().parents[1])

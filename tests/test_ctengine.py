@@ -12,7 +12,8 @@ from nsq.ctengine import (BinomialFactor, CTExpr, Monomial, _share_root,
                           residue_A0)
 from nsq.errors import (CapExceeded, InternalMismatch, NonCoprimeFactors,
                         PreconditionUnmet)
-from nsq.exactalg import (Poly, RationalFunction as RF, poly_gcd,
+from nsq.exactalg import (LazyRationalFunction as LRF, Poly,
+                          RationalFunction as RF, poly_gcd,
                           series_from_rational)
 from nsq.rgf import rgf_rational, rgf_series
 from nsq.semigroup import GeneratorList
@@ -215,6 +216,14 @@ class TestConstantTerm:
         assert got == tuple(_brute_ct(E, N))
         assert any(got)
 
+    def test_large_rung_cross_multiplies_with_the_closed_form(self):
+        # 4 s of Euclid at the exit before atom-wise cancellation
+        A = GeneratorList.of(211, 223, 227)
+        f = ct_rgf_rational(A, 5)
+        r = rgf_rational(A, 5)
+        assert (f.num.deg, f.den.deg) == (442, 661)
+        assert f.num * r.denominator() == Poly.from_ints(r.numerator) * f.den
+
     def test_cap_charges_the_residue_rings(self):
         E = parse_elliott("1/((1 - L^2000)*(1 - x*L))")
         # b * (1 + scale degree) per ring: 2000 * 2001 + 1 * 2001
@@ -227,15 +236,22 @@ class TestConstantTerm:
         assert ct_rgf_rational(A, 2, cap=100) == rgf_rational(A, 2).to_rational()
 
     def test_one_gcd_per_result(self, monkeypatch):
+        # the exit cancels atom by atom: no Euclid here, and one only for
+        # a reducible atom sharing a factor with the numerator
         E = parse_elliott("1/((1 - L^6)*(1 - x*L^2)*(1 - 2*x^3*L^5)*(1 - x^2))")
         calls = []
         gcd = nsq.exactalg.poly_gcd
         monkeypatch.setattr(nsq.exactalg, "poly_gcd",
                             lambda a, b: calls.append(1) or gcd(a, b))
         ct_constant_term(E)
-        assert len(calls) == 1
         residue_A0(E, 1)
-        assert len(calls) == 2
+        assert calls == []
+        # (1 - 2x)/(1 - 4x^2) = 1/(1 + 2x) = (1/2)/(x + 1/2)
+        f = LRF({0: Fraction(1), 1: Fraction(-2)},
+                {((0, Fraction(1)), (2, Fraction(-4))): 1}).to_rf()
+        assert len(calls) == 1
+        assert (f.num.coeffs, f.den.coeffs) == (
+            (Fraction(1, 2),), (Fraction(1, 2), Fraction(1)))
 
     def test_perturbed_residue_fails_the_remainder_check(self, monkeypatch):
         residue_poly = nsq.ctengine._residue_poly

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+import nsq.exactalg
 from nsq.errors import DivisionByZeroPoly, PoleAtZero
 from nsq.ctengine import parse_elliott
 from nsq.exactalg import (LazyRationalFunction, Poly, RationalFunction,
                           TruncatedSeries, poly_divmod, poly_gcd, poly_mul,
-                          series_from_rational, series_mul)
+                          rf_from_atoms, series_from_rational, series_mul)
+from nsq.rgf import rgf_rational
+from nsq.semigroup import GeneratorList
 
 
 def P(*coeffs):
@@ -190,6 +193,88 @@ class TestLazyRationalFunction:
         assert ((x + 2) / (1 - x) * (1 - x)).to_rf() == 2 + x.to_rf()
         assert (x / (2 * x * x)).to_rf() == RationalFunction.monomial(
             Fraction(1, 2), -1)
+
+
+class TestRfFromAtoms:
+    """The atom-wise exit normalisation against the Euclid oracle
+    RationalFunction(num, den)."""
+
+    # factors of the Capelli-reducible atoms 1 - c*x^k (c a square with
+    # k even, a cube with 3 | k, or -4c a 4th power with 4 | k), and
+    # cyclotomic ones
+    SHARED = [P(1, -2), P(1, 2), P(1, -3), P(1, 3), P(1, 2, 4), P(1, 2, 2),
+              P(1, -2, 2), P(1, -1), P(1, 1), P(1, 1, 1), P(1, 0, 1),
+              P(1, -1, 1), P(1, 1, 1, 1, 1), P(1, 0, 0, 1)]
+
+    @staticmethod
+    def atom(rng):
+        c = Fraction(rng.choice((1, 1, -1, 2, -3, 4, -4, 8, 9))) / rng.choice(
+            (1, 1, 1, 2, 3))
+        return (0, Fraction(1)), (rng.choice((1, 2, 3, 4, 6, 8, 9, 12)), -c)
+
+    def case(self, rng):
+        atoms = {}
+        for _ in range(rng.randint(1, 4)):
+            a = self.atom(rng)
+            atoms[a] = atoms.get(a, 0) + rng.randint(1, 3)
+        num = P(rng.choice((-2, -1, 1, 3)) * Fraction(1, rng.choice((1, 2, 6))))
+        for _ in range(rng.randint(0, 4)):
+            num = num * rng.choice(self.SHARED)
+        for a in rng.sample(sorted(atoms), rng.randint(0, len(atoms))):
+            num = num * _dense_atom(a)
+        if rng.random() < 0.5:
+            num = num * P(*(rng.randint(-3, 3) for _ in range(rng.randint(1, 4))))
+        low = rng.randint(-4, 4)
+        return {i + low: c for i, c in enumerate(num.coeffs) if c}, atoms, low
+
+    def test_matches_euclid(self, monkeypatch):
+        rng = random.Random(89)
+        gcd = nsq.exactalg.poly_gcd
+        calls = []
+        monkeypatch.setattr(nsq.exactalg, "poly_gcd",
+                            lambda a, b: calls.append(1) or gcd(a, b))
+        fallbacks = 0
+        for _ in range(300):
+            num, atoms, low = self.case(rng)
+            del calls[:]
+            got = rf_from_atoms(num, atoms)
+            fallbacks += bool(calls)
+            shift = max(0, -low)
+            den = Poly.monomial(Fraction(1), shift)
+            for a, m in atoms.items():
+                for _ in range(m):
+                    den = den * _dense_atom(a)
+            want = RationalFunction(
+                Poly([num.get(e - shift, 0)
+                      for e in range(max(num, default=0) + shift + 1)]), den)
+            assert (got.num, got.den) == (want.num, want.den), (num, atoms)
+            assert all(type(c) is Fraction
+                       for c in got.num.coeffs + got.den.coeffs)
+        # the Euclid fallback ran, but only on some cases
+        assert 0 < fallbacks < 150
+
+    def test_rgf_to_rational_matches_euclid(self):
+        rng = random.Random(97)
+        checked = 0
+        while checked < 60:
+            A = GeneratorList.from_iter(
+                rng.randint(2, 24) for _ in range(rng.randint(1, 3)))
+            if A.g != 1:
+                continue
+            r = rgf_rational(A, rng.randint(1, 5))
+            want = RationalFunction(Poly.from_ints(r.numerator),
+                                    r.denominator())
+            got = r.to_rational()
+            assert (got.num, got.den) == (want.num, want.den), (A, r)
+            assert r.taylor(60) == series_from_rational(got, 60).coeffs
+            checked += 1
+
+
+def _dense_atom(atom):
+    coeffs = [Fraction(0)] * (atom[-1][0] + 1)
+    for e, c in atom:
+        coeffs[e] = Fraction(c)
+    return Poly(coeffs)
 
 
 class TestSeries:
