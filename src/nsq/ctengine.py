@@ -15,16 +15,14 @@ fraction split, with the small/large monomial ordering of the double
 Laurent series field deciding which factors contribute.  Applied to the
 lifted denumerant expression this yields RGF_p(x) exactly.
 
-Every scalar between entry and exit is an `exactalg.LazyRationalFunction`:
-a Laurent polynomial in x over a multiset of binomial atoms such as
-1 - s, added and multiplied without any gcd (G. Xin, A fast algorithm
-for MacMahon's partition analysis, Electron. J. Combin. 11 (2004) R58).
-The engine divides only by binomials (the L-free factors and each
-1 - s) and by monomials, so the multisets stay small.
-`RationalFunction` is the type at the boundary: the numerator of a
-`CTExpr` is converted once on entry, and each result is normalised
-once on exit, atom by atom and without a Euclid
-(`exactalg.rf_from_atoms`).
+Every scalar, from the parsed expression to the result, is an
+`exactalg.RationalFunction`: a Laurent polynomial in x over a multiset of
+binomial atoms such as 1 - s, added and multiplied without any gcd
+(G. Xin, A fast algorithm for MacMahon's partition analysis, Electron.
+J. Combin. 11 (2004) R58).  The engine divides only by binomials (the
+L-free factors and each 1 - s) and by monomials, so the multisets stay
+small.  Each result has its normal form computed once, before it is
+returned, atom by atom and without a Euclid (`exactalg.rf_from_atoms`).
 """
 from __future__ import annotations
 
@@ -35,13 +33,11 @@ from fractions import Fraction
 
 from .errors import (CapExceeded, DivisionByZeroPoly, GcdNotOne,
                      InternalMismatch, NonCoprimeFactors, PreconditionUnmet)
-from .exactalg import LazyRationalFunction, Poly, RationalFunction, poly_divmod
+from .exactalg import Poly, RationalFunction, poly_divmod
 from .semigroup import DEFAULT_SIEVE_CAP, GeneratorList
 
-RF = RationalFunction
-LRF = LazyRationalFunction
-_ZERO = LRF({})
-_ONE = LRF.monomial(1, 0)
+_ZERO = RationalFunction(0)
+_ONE = RationalFunction(1)
 
 
 class Monomial(namedtuple("Monomial", "coef xexp")):
@@ -66,11 +62,8 @@ class Monomial(namedtuple("Monomial", "coef xexp")):
     def __pow__(self, n: int) -> "Monomial":
         return Monomial(self.coef ** n, self.xexp * n)
 
-    def to_ratfun(self) -> RF:
-        return RF.monomial(self.coef, self.xexp)
-
-    def to_lazy(self) -> LRF:
-        return LRF.monomial(self.coef, self.xexp)
+    def to_ratfun(self) -> RationalFunction:
+        return RationalFunction.monomial(self.coef, self.xexp)
 
 
 class BinomialFactor(namedtuple("BinomialFactor", "u b")):
@@ -79,10 +72,9 @@ class BinomialFactor(namedtuple("BinomialFactor", "u b")):
     __slots__ = ()
 
     def as_poly(self) -> Poly:
-        """Polynomial in L over Q(x), with the engine's scalar as
-        coefficients; requires b >= 0."""
+        """Polynomial in L over Q(x); requires b >= 0."""
         coeffs = [_ONE] + [_ZERO] * self.b
-        coeffs[self.b] = coeffs[self.b] - self.u.to_lazy()
+        coeffs[self.b] = coeffs[self.b] - self.u.to_ratfun()
         return Poly(coeffs)
 
 
@@ -146,7 +138,7 @@ def build_rgf_expr(A: GeneratorList, p: int) -> CTExpr:
         raise ValueError("p must be a positive integer")
     factors = [BinomialFactor(Monomial(Fraction(1), 1), -p)]
     factors += [BinomialFactor(Monomial(Fraction(1), 0), a) for a in A.seq]
-    return CTExpr({0: RF(1)}, factors)
+    return CTExpr({0: _ONE}, factors)
 
 
 def reduce_factor_mod(E: CTExpr, s: int) -> CTExpr:
@@ -158,11 +150,11 @@ def reduce_factor_mod(E: CTExpr, s: int) -> CTExpr:
         raise ValueError("cannot reduce modulo an L-free factor")
     B = abs(f.b)
     M = f.u.inv() if f.b > 0 else f.u  # L^B is congruent to M
-    num: dict[int, RF] = {}
+    num: dict[int, RationalFunction] = {}
     for e, c in E.numerator.items():
         q, r = divmod(e, B)
         val = c * (M ** q).to_ratfun() if q else c
-        num[r] = num.get(r, RF(0)) + val
+        num[r] = num.get(r, _ZERO) + val
     factors = []
     for j, g in enumerate(E.factors):
         if j == s or g.b == 0:
@@ -173,15 +165,14 @@ def reduce_factor_mod(E: CTExpr, s: int) -> CTExpr:
     return CTExpr(num, factors)
 
 
-def _fold_free_factors(num: dict[int, RF], factors):
-    """Bring the numerator into the engine's scalar and divide it by
-    every L-free factor; returns the folded numerator and the
-    L-dependent factors with their original indices."""
+def _fold_free_factors(num: dict[int, RationalFunction], factors):
+    """Divide the numerator by every L-free factor; returns the folded
+    numerator and the L-dependent factors with their original indices."""
     lam = []
-    out = {e: LRF.from_rf(v) for e, v in num.items()}
+    out = num
     for idx, f in enumerate(factors):
         if f.b == 0:
-            c = 1 - f.u.to_lazy()
+            c = 1 - f.u.to_ratfun()
             if c.is_zero():
                 raise DivisionByZeroPoly("vanishing L-free factor (1 - 1)")
             out = {e: v / c for e, v in out.items()}
@@ -205,33 +196,39 @@ def _check_pairwise_coprime(lam):
                     f"factors {lam[i][0]} and {lam[j][0]} share a root")
 
 
+def _ring_cells(lam, pos: int) -> int:
+    """Size of the residue ring of the factor (1 - u*L^b) at `pos`: it
+    holds b scalars whose numerators grow with the x-degrees of the
+    scale binomials 1 - v^n M^{c/d} of `_ring_inv_binomial`, so it
+    counts b * (1 + sum of those degrees)."""
+    f = lam[pos][1]
+    deg = 1
+    for k, (_, g) in enumerate(lam):
+        if k != pos:
+            d = math.gcd(f.b, g.b)
+            deg += abs(f.b // d * g.u.xexp - g.b // d * f.u.xexp)
+    return f.b * deg
+
+
 def _charge_rings(lam, cap: int):
-    """Charge the residue rings against cap before any is built.  The
-    ring of factor (1 - u*L^b) holds b scalars whose numerators grow
-    with the x-degrees of the scale binomials 1 - v^n M^{c/d} of
-    `_ring_inv_binomial`, so it counts b * (1 + sum of those degrees)."""
-    cells = 0
-    for s, (_, f) in enumerate(lam):
-        deg = 1
-        for k, (_, g) in enumerate(lam):
-            if k != s:
-                d = math.gcd(f.b, g.b)
-                deg += abs(f.b // d * g.u.xexp - g.b // d * f.u.xexp)
-        cells += f.b * deg
+    """Charge all the residue rings against cap before any is built."""
+    cells = sum(_ring_cells(lam, pos) for pos in range(len(lam)))
     if cells > cap:
         raise CapExceeded(f"residue rings of {cells} cells exceed cap {cap}")
 
 
-def _ring_reduce(num: dict[int, LRF], B: int, M: Monomial) -> list[LRF]:
+def _ring_reduce(num: dict[int, RationalFunction], B: int,
+                 M: Monomial) -> list[RationalFunction]:
     """Map a Laurent polynomial in L into Q(x)[L]/(L^B - M)."""
     out = [_ZERO] * B
     for e, c in num.items():
         q, r = divmod(e, B)
-        out[r] = out[r] + (c * (M ** q).to_lazy() if q else c)
+        out[r] = out[r] + (c * (M ** q).to_ratfun() if q else c)
     return out
 
 
-def _ring_mul(a: list[LRF], b: list[LRF], B: int, M_l: LRF) -> list[LRF]:
+def _ring_mul(a: list[RationalFunction], b: list[RationalFunction], B: int,
+              M_l: RationalFunction) -> list[RationalFunction]:
     out = [_ZERO] * B
     for i, ci in enumerate(a):
         if ci.is_zero():
@@ -248,7 +245,8 @@ def _ring_mul(a: list[LRF], b: list[LRF], B: int, M_l: LRF) -> list[LRF]:
     return out
 
 
-def _ring_inv_binomial(g: BinomialFactor, B: int, M: Monomial) -> list[LRF]:
+def _ring_inv_binomial(g: BinomialFactor, B: int,
+                       M: Monomial) -> list[RationalFunction]:
     """(1 - v*L^c)^{-1} in Q(x)[L]/(L^B - M) by the closed form
     sum_{j<n} (v*L^c)^j / (1 - v^n M^{c/d}), d = gcd(B, c), n = B/d,
     since L^{cn} = (L^B)^{c/d}; the exponents c*j mod B, j < n, are
@@ -256,21 +254,22 @@ def _ring_inv_binomial(g: BinomialFactor, B: int, M: Monomial) -> list[LRF]:
     v, c = g.u, g.b
     d = math.gcd(B, c)
     n = B // d
-    scale = 1 - (v ** n * M ** (c // d)).to_lazy()
+    scale = 1 - (v ** n * M ** (c // d)).to_ratfun()
     out = [_ZERO] * B
     for j in range(n):
         q, r = divmod(c * j, B)
-        out[r] = (v ** j * M ** q).to_lazy() / scale
+        out[r] = (v ** j * M ** q).to_ratfun() / scale
     return out
 
 
-def _residue_poly(num: dict[int, LRF], lam, pos: int) -> list[LRF]:
+def _residue_poly(num: dict[int, RationalFunction], lam,
+                  pos: int) -> list[RationalFunction]:
     """Full residue polynomial A_s(L) (coefficients 0..b_s-1) for the
     factor at position `pos` within the L-dependent list."""
     f = lam[pos][1]
     B = f.b
     M = f.u.inv()
-    M_l = M.to_lazy()
+    M_l = M.to_ratfun()
     elt = _ring_reduce(num, B, M)
     for k, (_, g) in enumerate(lam):
         if k != pos:
@@ -280,7 +279,8 @@ def _residue_poly(num: dict[int, LRF], lam, pos: int) -> list[LRF]:
 
 def residue_A0(E: CTExpr, s: int) -> Residue:
     """Constant-in-L coefficient of the residue at factor s, with its
-    contributing classification."""
+    contributing classification.  The one ring it builds is charged
+    against the default sieve cap (`CapExceeded`)."""
     E = normalize_expr(E)
     if E.factors[s].b == 0:
         raise ValueError("residues are taken at L-dependent factors")
@@ -290,12 +290,17 @@ def residue_A0(E: CTExpr, s: int) -> Residue:
         if k != pos and _share_root(lam[pos][1], g):
             raise NonCoprimeFactors(
                 f"factor {s} shares a root with factor {idx}")
+    cells = _ring_cells(lam, pos)
+    if cells > DEFAULT_SIEVE_CAP:
+        raise CapExceeded(f"residue ring of {cells} cells exceeds cap "
+                          f"{DEFAULT_SIEVE_CAP}")
     coeffs = _residue_poly(num, lam, pos)
     f = lam[pos][1]
-    return Residue(s, coeffs[0].to_rf(), classify_monomial(f.u.xexp, f.b))
+    return Residue(s, coeffs[0].normalised(), classify_monomial(f.u.xexp, f.b))
 
 
-def ct_constant_term(E: CTExpr, cap: int = DEFAULT_SIEVE_CAP) -> RF:
+def ct_constant_term(E: CTExpr,
+                     cap: int = DEFAULT_SIEVE_CAP) -> RationalFunction:
     """Constant term in L of E, as an exact rational function in x.
 
     Computes every residue, subtracts the partial fractions to recover
@@ -307,7 +312,7 @@ def ct_constant_term(E: CTExpr, cap: int = DEFAULT_SIEVE_CAP) -> RF:
     E = normalize_expr(E)
     num, lam = _fold_free_factors(E.numerator, E.factors)
     if not lam:
-        return num.get(0, _ZERO).to_rf()
+        return num.get(0, _ZERO).normalised()
     _check_pairwise_coprime(lam)
     _charge_rings(lam, cap)
 
@@ -349,11 +354,13 @@ def ct_constant_term(E: CTExpr, cap: int = DEFAULT_SIEVE_CAP) -> RF:
             (c[0] for c, cat in residues if cat == "large"), _ZERO)
         if dual != primal:
             raise InternalMismatch("primal and dual constant terms disagree")
-    return primal.to_rf()
+    return primal.normalised()
 
 
 def lemma_zero_check(E: CTExpr) -> bool:
-    """For E proper in L with E(L=0) = 0, the residues must sum to zero."""
+    """For E proper in L with E(L=0) = 0, the residues must sum to zero.
+    Its residue rings are charged against the default sieve cap
+    (`CapExceeded`) before any is built."""
     E = normalize_expr(E)
     num, lam = _fold_free_factors(E.numerator, E.factors)
     deg_den = sum(f.b for _, f in lam)
@@ -364,6 +371,7 @@ def lemma_zero_check(E: CTExpr) -> bool:
     if max(num) >= deg_den:
         raise PreconditionUnmet("E must be proper in L")
     _check_pairwise_coprime(lam)
+    _charge_rings(lam, DEFAULT_SIEVE_CAP)
     total = _ZERO
     for pos in range(len(lam)):
         total = total + _residue_poly(num, lam, pos)[0]
@@ -371,7 +379,7 @@ def lemma_zero_check(E: CTExpr) -> bool:
 
 
 def ct_rgf_rational(A: GeneratorList, p: int,
-                    cap: int = DEFAULT_SIEVE_CAP) -> RF:
+                    cap: int = DEFAULT_SIEVE_CAP) -> RationalFunction:
     """RGF_p(x) via the constant-term pipeline: reduce against the
     (1 - x*L^-p) factor first, then extract the constant term."""
     if A.g != 1:
@@ -487,7 +495,7 @@ def parse_elliott(text: str) -> CTExpr:
     tk.expect(")")
     if tk.peek() is not None:
         raise ValueError(f"trailing input: {tk.toks[tk.i:]!r}")
-    return CTExpr({lexp: RF.monomial(coef, xexp)},
+    return CTExpr({lexp: RationalFunction.monomial(coef, xexp)},
                   [f for f in factors if f is not None])
 
 

@@ -1,13 +1,13 @@
-"""Exact arithmetic kernel: dense univariate polynomials, normalized
-rational functions and truncated power series.
+"""Exact arithmetic kernel: dense univariate polynomials, rational
+functions and truncated power series.
 
 Rational scalars are `fractions.Fraction`.  `Poly` is coefficient-generic:
 it is used both over Fraction (polynomials in x) and over
 `RationalFunction` (polynomials in a second variable whose coefficients
-are rational functions in x) or `LazyRationalFunction`, the gcd-free
-scalar the constant-term engine computes with; `rf_from_atoms` reduces
-such a scalar, or any numerator over atoms with constant term 1, to a
-`RationalFunction`.  All operations are pure and every value is
+are rational functions in x).  `RationalFunction` is the one type for a
+rational function in x: a Laurent numerator over a multiset of atoms,
+computed with no gcd, whose reduced normal form `rf_from_atoms` computes
+once, on first read.  All operations are pure and every value is
 immutable after construction.  `TruncatedSeries` is
 defined in `semigroup`, whose denumerant series needs no kernel, and is
 re-exported here.
@@ -117,10 +117,6 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Exact long division: a = q*b + r with deg r < deg b."""
     if b.is_zero():
@@ -163,123 +159,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-class RationalFunction:
-    """Quotient of two Fraction-coefficient polynomials, eagerly reduced.
-
-    Normal form: gcd(num, den) = 1 and den monic, so equality is
-    field-wise comparison.  Laurent monomials x^-k are represented with
-    x^k in the denominator.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = Poly([Fraction(num)])
-        if den is None:
-            den = Poly([Fraction(1)])
-        elif isinstance(den, (int, Fraction)):
-            den = Poly([Fraction(den)])
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num = Poly()
-            self.den = Poly([Fraction(1)])
-            return
-        g = poly_gcd(num, den)
-        if g.deg > 0:
-            num = poly_divmod(num, g)[0]
-            den = poly_divmod(den, g)[0]
-        lc = den.lead
-        self.num = num.scale(1 / lc)
-        self.den = den.scale(1 / lc)
-
-    @classmethod
-    def monomial(cls, coef, exp):
-        """coef * x^exp with exp allowed negative."""
-        coef = Fraction(coef)
-        if exp >= 0:
-            return cls(Poly.monomial(coef, exp))
-        return cls(Poly([coef]), Poly.monomial(Fraction(1), -exp))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    @staticmethod
-    def _coerce(v):
-        if isinstance(v, RationalFunction):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return RationalFunction(v)
-        return NotImplemented
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def as_monomial(self):
-        """(coef, exp) if this is coef*x^exp, else None."""
-        if self.num.is_zero():
-            return None
-        nsup = [i for i, c in enumerate(self.num.coeffs) if c]
-        dsup = [i for i, c in enumerate(self.den.coeffs) if c]
-        if len(nsup) != 1 or len(dsup) != 1:
-            return None
-        e = nsup[0] - dsup[0]
-        return self.num.coeffs[nsup[0]] / self.den.coeffs[dsup[0]], e
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-
 def _mul_terms(a, b) -> dict:
     """Product of two sparse Laurent polynomials given as (exp, coef)
     pairs, as {exp: coef} without zero coefficients."""
@@ -290,56 +169,92 @@ def _mul_terms(a, b) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-class LazyRationalFunction:
-    """A rational function in x kept as a Laurent-polynomial numerator
+def _terms(p) -> dict:
+    """An int, Fraction or Fraction Poly as {exp: Fraction}, zeros dropped."""
+    if isinstance(p, Poly):
+        return {i: Fraction(c) for i, c in enumerate(p.coeffs) if c}
+    return {0: Fraction(p)} if p else {}
+
+
+class RationalFunction:
+    """A rational function in x, kept as a Laurent-polynomial numerator
     over a multiset of denominator atoms, with no gcd taken.
 
-    `num` maps exponents to nonzero Fractions.  `atoms` maps each atom, a
-    polynomial with constant term 1 written as its sorted (exp, coef)
+    `terms` maps exponents to nonzero Fractions.  `atoms` maps each atom,
+    a polynomial with constant term 1 written as its sorted (exp, coef)
     pairs, to its multiplicity.  A product adds the multisets; a sum
     lifts both sides to the per-atom maximum; a quotient adds the
-    divisor's numerator, less its monomial factor, as one more atom.  A
-    value is zero exactly when its numerator is empty, and `to_rf`
-    normalises it once, cancelling atom by atom against the numerator
-    (`rf_from_atoms`), with no Euclid unless a reducible atom shares a
-    factor with the numerator.  This is the scalar of
-    G. Xin, A fast algorithm for MacMahon's partition analysis, Electron.
-    J. Combin. 11 (2004) R58.  Instances are immutable.
+    divisor's numerator, less its monomial factor, as one more atom; and
+    equality is a cross-multiplication.  A value is zero exactly when
+    `terms` is empty.  This is the scalar of G. Xin, A fast algorithm
+    for MacMahon's partition analysis, Electron. J. Combin. 11 (2004) R58.
+
+    `num` and `den` are the reduced normal form: coprime, den monic,
+    Fraction coefficients, and x^-k written with x^k in the denominator.
+    `rf_from_atoms` computes it atom by atom on first read, with no
+    Euclid unless a reducible atom shares a factor with the numerator,
+    and it is cached; `hash`, `as_monomial` and `repr` read it.  Values
+    are immutable: the cache only fills in.
     """
 
-    __slots__ = ("num", "atoms")
+    __slots__ = ("terms", "atoms", "_form")
 
-    def __init__(self, num: dict, atoms: dict | None = None):
-        self.num = num
-        self.atoms = atoms if num and atoms else {}
+    def __init__(self, num, den=None):
+        """num / den for ints, Fractions or Polys over Fraction."""
+        value = self._new(_terms(num))
+        if den is not None:
+            den = self._new(_terms(den))
+            if not den.terms:
+                raise ZeroDivisionError(
+                    "rational function with zero denominator")
+            value = value / den
+        self.terms, self.atoms, self._form = value.terms, value.atoms, None
+
+    @classmethod
+    def _new(cls, terms: dict, atoms: dict | None = None):
+        """terms / prod atoms, built without `__init__`."""
+        f = object.__new__(cls)
+        f.terms = terms
+        f.atoms = atoms if terms and atoms else {}
+        f._form = None
+        return f
 
     @classmethod
     def monomial(cls, coef, exp):
-        return cls({exp: Fraction(coef)})
+        """coef * x^exp with exp allowed negative."""
+        return cls._new({exp: Fraction(coef)} if coef else {})
 
-    @classmethod
-    def from_rf(cls, f: RationalFunction) -> "LazyRationalFunction":
-        num, den = ({i: c for i, c in enumerate(p.coeffs) if c}
-                    for p in (f.num, f.den))
-        return cls(num) / cls(den)
+    def normalised(self) -> "RationalFunction":
+        """This value, with its normal form computed and cached."""
+        if self._form is None:
+            self._form = rf_from_atoms(self.terms, self.atoms)
+        return self
+
+    @property
+    def num(self) -> Poly:
+        return self.normalised()._form[0]
+
+    @property
+    def den(self) -> Poly:
+        return self.normalised()._form[1]
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     @staticmethod
     def _coerce(v):
-        if isinstance(v, LazyRationalFunction):
+        if isinstance(v, RationalFunction):
             return v
         if isinstance(v, (int, Fraction)):
-            return LazyRationalFunction({0: Fraction(v)} if v else {})
+            return RationalFunction._new({0: Fraction(v)} if v else {})
         return NotImplemented
-
-    def is_zero(self):
-        return not self.num
-
-    def __bool__(self):
-        return bool(self.num)
 
     def _lift(self, atoms: dict) -> dict:
         """The numerator over `atoms`, a multiset containing self.atoms."""
-        num = self.num
+        num = self.terms
         for atom, k in atoms.items():
             for _ in range(k - self.atoms.get(atom, 0)):
                 num = _mul_terms(num.items(), atom)
@@ -356,20 +271,24 @@ class LazyRationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self._form is not None and other._form is not None:
+            return self._form == other._form
         atoms = self._common_atoms(other)
         return self._lift(atoms) == other._lift(atoms)
 
+    def __hash__(self):
+        return hash(self.normalised()._form)
+
     def __neg__(self):
-        return LazyRationalFunction({e: -c for e, c in self.num.items()},
-                                    self.atoms)
+        return self._new({e: -c for e, c in self.terms.items()}, self.atoms)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num:
+        if not other.terms:
             return self
-        if not self.num:
+        if not self.terms:
             return other
         atoms = self._common_atoms(other)
         num = dict(self._lift(atoms))
@@ -377,7 +296,7 @@ class LazyRationalFunction:
             c += num.pop(e, 0)
             if c:
                 num[e] = c
-        return LazyRationalFunction(num, atoms)
+        return self._new(num, atoms)
 
     __radd__ = __add__
 
@@ -397,8 +316,8 @@ class LazyRationalFunction:
         atoms = dict(self.atoms)
         for atom, k in other.atoms.items():
             atoms[atom] = atoms.get(atom, 0) + k
-        return LazyRationalFunction(
-            _mul_terms(self.num.items(), other.num.items()), atoms)
+        return self._new(_mul_terms(self.terms.items(), other.terms.items()),
+                         atoms)
 
     __rmul__ = __mul__
 
@@ -406,32 +325,45 @@ class LazyRationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num:
+        if not other.terms:
             raise ZeroDivisionError("division by zero rational function")
-        s = min(other.num)
-        lead = other.num[s]
-        num = _mul_terms(self.num.items(), ((-s, 1 / lead),))
+        s = min(other.terms)
+        lead = other.terms[s]
+        num = _mul_terms(self.terms.items(), ((-s, 1 / lead),))
         for atom, k in other.atoms.items():
             for _ in range(k):
                 num = _mul_terms(num.items(), atom)
         atoms = dict(self.atoms)
-        if len(other.num) > 1:
+        if len(other.terms) > 1:
             atom = tuple(sorted((e - s, c / lead)
-                                for e, c in other.num.items()))
+                                for e, c in other.terms.items()))
             atoms[atom] = atoms.get(atom, 0) + 1
-        return LazyRationalFunction(num, atoms)
+        return self._new(num, atoms)
 
-    def to_rf(self) -> RationalFunction:
-        """The normalised value, reduced atom by atom (`rf_from_atoms`)."""
-        return rf_from_atoms(self.num, self.atoms)
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+    def as_monomial(self):
+        """(coef, exp) if this is coef*x^exp, else None."""
+        if self.num.is_zero():
+            return None
+        nsup = [i for i, c in enumerate(self.num.coeffs) if c]
+        dsup = [i for i, c in enumerate(self.den.coeffs) if c]
+        if len(nsup) != 1 or len(dsup) != 1:
+            return None
+        e = nsup[0] - dsup[0]
+        return self.num.coeffs[nsup[0]] / self.den.coeffs[dsup[0]], e
 
     def __repr__(self):
-        return f"LazyRationalFunction({self.num!r}, {self.atoms!r})"
+        return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
 # ---------------------------------------------------------------------------
-# exit normalisation: a Laurent numerator over atoms with constant term 1,
-# reduced in integer arithmetic.  Integer polynomials are lists, constant term
+# normal form: a Laurent numerator over atoms with constant term 1, reduced
+# in integer arithmetic.  Integer polynomials are lists, constant term
 # first, with a nonzero last entry.
 
 # 61-bit primes for the modular coprimality test
@@ -559,9 +491,10 @@ def _ints(terms, low: int) -> tuple[list, int]:
     return out, den
 
 
-def rf_from_atoms(num: dict, atoms: dict) -> RationalFunction:
-    """The reduced RationalFunction num / prod atom^mult, with no Euclid
-    unless a reducible atom shares a factor with the numerator.
+def rf_from_atoms(num: dict, atoms: dict) -> tuple[Poly, Poly]:
+    """The normal form (num, den) of num / prod atom^mult: coprime, den
+    monic, Fraction coefficients; no Euclid unless a reducible atom
+    shares a factor with the numerator.
 
     `num` maps exponents of any sign to nonzero rationals.  Each atom is
     a polynomial with constant term 1, written as its sorted (exp, coef)
@@ -573,11 +506,11 @@ def rf_from_atoms(num: dict, atoms: dict) -> RationalFunction:
     `_coprime_mod_p` proves it coprime to the rest.  Only when that
     fails, which by Capelli's theorem needs a reducible atom such as
     1 - 4x^2, does one Euclid `poly_gcd` take out the common factor.
-    The denominator is rebuilt from what did not cancel, and the result
+    The denominator is rebuilt from what did not cancel, and the pair
     is made monic directly, with no second gcd.
     """
     if not num:
-        return RationalFunction(0)
+        return Poly(), Poly([Fraction(1)])
     # the value is scale * N / (x^-low * prod atoms), N in integers
     low = min(num)
     N, clear = _ints(num.items(), low)
@@ -622,12 +555,10 @@ def rf_from_atoms(num: dict, atoms: dict) -> RationalFunction:
     lead = den[-1]
     scale /= lead
     sn, sd = scale.numerator, scale.denominator
-    rf = object.__new__(RationalFunction)
-    rf.num = Poly([_ZERO_F] * max(low, 0)
-                  + [Fraction(c * sn, sd) if c else _ZERO_F for c in N])
-    rf.den = Poly([_ZERO_F] * max(-low, 0)
-                  + [Fraction(c, lead) if c else _ZERO_F for c in den])
-    return rf
+    return (Poly([_ZERO_F] * max(low, 0)
+                 + [Fraction(c * sn, sd) if c else _ZERO_F for c in N]),
+            Poly([_ZERO_F] * max(-low, 0)
+                 + [Fraction(c, lead) if c else _ZERO_F for c in den]))
 
 
 def series_from_rational(f: RationalFunction, n: int) -> TruncatedSeries:

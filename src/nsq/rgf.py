@@ -51,14 +51,14 @@ class RGFRational(namedtuple("RGFRational",
         return den
 
     def to_rational(self) -> RationalFunction:
-        """The reduced form, cancelled atom by atom (`rf_from_atoms`)."""
-        from .exactalg import rf_from_atoms
+        """The value over the atoms 1 - x^b, its normal form computed
+        atom by atom (`rf_from_atoms`)."""
+        from .exactalg import Poly, RationalFunction
 
-        atoms = {}
+        f = RationalFunction(Poly.from_ints(self.numerator))
         for b in self.denom_factors:
-            atom = ((0, 1), (b, -1))
-            atoms[atom] = atoms.get(atom, 0) + 1
-        return rf_from_atoms(self.numerator_support(), atoms)
+            f = f / RationalFunction(Poly.one_minus_pow(b))
+        return f.normalised()
 
 
 def rgf_series(A: GeneratorList, p: int, N: int,

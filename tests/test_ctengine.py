@@ -12,8 +12,7 @@ from nsq.ctengine import (BinomialFactor, CTExpr, Monomial, _share_root,
                           residue_A0)
 from nsq.errors import (CapExceeded, InternalMismatch, NonCoprimeFactors,
                         PreconditionUnmet)
-from nsq.exactalg import (LazyRationalFunction as LRF, Poly,
-                          RationalFunction as RF, poly_gcd,
+from nsq.exactalg import (Poly, RationalFunction as RF, poly_gcd,
                           series_from_rational)
 from nsq.rgf import rgf_rational, rgf_series
 from nsq.semigroup import GeneratorList
@@ -224,6 +223,20 @@ class TestConstantTerm:
         assert (f.num.deg, f.den.deg) == (442, 661)
         assert f.num * r.denominator() == Poly.from_ints(r.numerator) * f.den
 
+    def test_residue_and_lemma_charge_their_rings(self):
+        E = parse_elliott("L/((1 - L^300000)*(1 - x*L))")
+        # only the ring at factor 0: 300000 * 300001 cells
+        with pytest.raises(CapExceeded,
+                           match="residue ring of 90000300000 cells"):
+            residue_A0(E, 0)
+        with pytest.raises(CapExceeded,
+                           match="residue rings of 90000600001 cells"):
+            lemma_zero_check(E)
+        # the ring at factor 1 has 300001 cells: L = 1/x there
+        r = residue_A0(E, 1)
+        assert r.A0.num == Poly.monomial(Fraction(1), 299999)
+        assert r.A0.den == Poly.monomial(Fraction(1), 300000) - Poly([1])
+
     def test_cap_charges_the_residue_rings(self):
         E = parse_elliott("1/((1 - L^2000)*(1 - x*L))")
         # b * (1 + scale degree) per ring: 2000 * 2001 + 1 * 2001
@@ -247,11 +260,42 @@ class TestConstantTerm:
         residue_A0(E, 1)
         assert calls == []
         # (1 - 2x)/(1 - 4x^2) = 1/(1 + 2x) = (1/2)/(x + 1/2)
-        f = LRF({0: Fraction(1), 1: Fraction(-2)},
-                {((0, Fraction(1)), (2, Fraction(-4))): 1}).to_rf()
-        assert len(calls) == 1
+        f = RF(Poly.from_ints([1, -2]), Poly.from_ints([1, 0, -4]))
+        assert calls == []
         assert (f.num.coeffs, f.den.coeffs) == (
             (Fraction(1, 2),), (Fraction(1, 2), Fraction(1)))
+        assert len(calls) == 1
+
+    def test_no_euclid_from_parse_to_result(self, monkeypatch):
+        calls = []
+        gcd = nsq.exactalg.poly_gcd
+        monkeypatch.setattr(nsq.exactalg, "poly_gcd",
+                            lambda a, b: calls.append(1) or gcd(a, b))
+        E = parse_elliott("1/((1 - x*L^-3)*(1 - L^5)*(1 - 2*x*L^-2))")
+        f = ct_constant_term(E)
+        g = ct_rgf_rational(GeneratorList.of(7, 19, 29), 3)
+        assert calls == []
+        got = series_from_rational(f, 20).coeffs
+        assert got == tuple(_brute_ct(E, 20))
+        assert g == rgf_rational(GeneratorList.of(7, 19, 29), 3).to_rational()
+
+    def test_results_carry_their_normal_form(self, monkeypatch):
+        E = parse_elliott("1/((1 - x*L^-3)*(1 - L^5)*(1 - 2*x*L^-2))")
+        A = GeneratorList.of(7, 19, 29)
+        calls = []
+        reduce = nsq.exactalg.rf_from_atoms
+        monkeypatch.setattr(nsq.exactalg, "rf_from_atoms",
+                            lambda num, atoms: calls.append(1)
+                            or reduce(num, atoms))
+        for run in (lambda: ct_constant_term(E),
+                    lambda: ct_rgf_rational(A, 3),
+                    lambda: residue_A0(E, 1).A0,
+                    lambda: rgf_rational(A, 3).to_rational()):
+            del calls[:]
+            f = run()
+            assert len(calls) == 1
+            f.num, f.den, hash(f)
+            assert len(calls) == 1
 
     def test_perturbed_residue_fails_the_remainder_check(self, monkeypatch):
         residue_poly = nsq.ctengine._residue_poly

@@ -7,9 +7,9 @@ import pytest
 import nsq.exactalg
 from nsq.errors import DivisionByZeroPoly, PoleAtZero
 from nsq.ctengine import parse_elliott
-from nsq.exactalg import (LazyRationalFunction, Poly, RationalFunction,
-                          TruncatedSeries, poly_divmod, poly_gcd, poly_mul,
-                          rf_from_atoms, series_from_rational, series_mul)
+from nsq.exactalg import (Poly, RationalFunction, TruncatedSeries,
+                          poly_divmod, poly_gcd, rf_from_atoms,
+                          series_from_rational, series_mul)
 from nsq.rgf import rgf_rational
 from nsq.semigroup import GeneratorList
 
@@ -18,18 +18,37 @@ def P(*coeffs):
     return Poly.from_ints(coeffs)
 
 
+def _euclid_reduce(num, den):
+    """The normal form of num/den by one Euclid gcd, the oracle for the
+    atom-wise reduction: coprime, den monic."""
+    if num.is_zero():
+        return Poly(), P(1)
+    g = poly_gcd(num, den)
+    num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+    return num.scale(1 / den.lead), den.monic()
+
+
+def _laurent(terms):
+    """sum c x^e over {e: c}, e of any sign, as a (num, den) pair."""
+    low = min(0, *terms)
+    num = [Fraction(0)] * (max(0, *terms) - low + 1)
+    for e, c in terms.items():
+        num[e - low] += c
+    return Poly(num), Poly.monomial(Fraction(1), -low)
+
+
 class TestPolyMul:
     def test_difference_of_squares(self):
-        assert poly_mul(P(1, 1), P(1, -1)) == P(1, 0, -1)
+        assert P(1, 1) * P(1, -1) == P(1, 0, -1)
 
     def test_zero_annihilates(self):
-        assert poly_mul(Poly(), P(1, 0, 0, 1)) == Poly()
+        assert Poly() * P(1, 0, 0, 1) == Poly()
 
     def test_hand_expansion(self):
         # (1 + x^4)(1 + x^3 + x^5) = 1 + x^3 + x^4 + x^5 + x^7 + x^9
         a = P(1, 0, 0, 0, 1)
         b = P(1, 0, 0, 1, 0, 1)
-        assert poly_mul(a, b) == P(1, 0, 0, 1, 1, 1, 0, 1, 0, 1)
+        assert a * b == P(1, 0, 0, 1, 1, 1, 0, 1, 0, 1)
 
 
 class TestPolyDivmod:
@@ -120,6 +139,7 @@ class TestRationalFunction:
             if den.is_zero():
                 continue
             f = RationalFunction(num, den)
+            assert (f.num, f.den) == _euclid_reduce(num, den)
             again = RationalFunction(f.num, f.den)
             assert again.num == f.num and again.den == f.den
             assert f.den.lead == Fraction(1) or f.num.is_zero()
@@ -132,6 +152,12 @@ class TestRationalFunction:
         assert f - g == 2 * x / (1 - x * x)
         assert (f / g) == (1 + x) / (1 - x)
 
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError, match="zero denominator"):
+            RationalFunction(P(1, 2), Poly())
+        with pytest.raises(ZeroDivisionError, match="zero denominator"):
+            RationalFunction(0, 0)
+
     def test_negative_exponent_monomial(self):
         m = RationalFunction.monomial(3, -2)
         assert m.num == P(3)
@@ -139,65 +165,87 @@ class TestRationalFunction:
         assert m.as_monomial() == (Fraction(3), -2)
 
 
-class TestLazyRationalFunction:
-    """The gcd-free scalar against RationalFunction, op by op."""
+class TestGcdFreeArithmetic:
+    """RationalFunction arithmetic, op by op, against eager (num, den)
+    pairs reduced by one Euclid gcd."""
+
+    EAGER = {
+        "+": lambda a, b: (a[0] * b[1] + b[0] * a[1], a[1] * b[1]),
+        "-": lambda a, b: (a[0] * b[1] - b[0] * a[1], a[1] * b[1]),
+        "*": lambda a, b: (a[0] * b[0], a[1] * b[1]),
+        "/": lambda a, b: (a[0] * b[1], a[1] * b[0]),
+    }
+    LAZY = {"+": operator.add, "-": operator.sub,
+            "*": operator.mul, "/": operator.truediv}
 
     @staticmethod
     def operand(rng):
-        """An RF: a Laurent monomial, a binomial 1 - c*x^k or its
-        inverse, or the numerator coefficient of a parsed Elliott
-        expression over a binomial."""
+        """A value and its eager pair: a Laurent monomial, a binomial
+        1 - c*x^k or its inverse, the numerator coefficient of a parsed
+        Elliott expression over a binomial, or num/den built by the
+        constructor."""
         coef = Fraction(rng.choice((-3, -2, -1, 1, 2))) / rng.choice((1, 2))
-        binomial = 1 - RationalFunction.monomial(coef, rng.randint(-3, 4))
-        kind = rng.randrange(4)
+        e, k = rng.randint(-3, 4), rng.randint(-3, 4)
+        terms = {0: Fraction(1)}
+        terms[k] = terms.get(k, 0) - coef
+        binomial = 1 - RationalFunction.monomial(coef, k)
+        pair = _laurent(terms)
+        kind = rng.randrange(5)
         if kind == 0:
-            return RationalFunction.monomial(coef, rng.randint(-3, 4))
+            return RationalFunction.monomial(coef, e), _laurent({e: coef})
         if kind == 1:
-            return binomial
+            return binomial, pair
         if kind == 2 and binomial:
-            return 1 / binomial
-        text = f"{rng.randint(1, 3)}*x^{rng.randint(0, 3)}*L/((1 - x))"
-        (value,) = parse_elliott(text).numerator.values()
-        return value / (binomial or 1)
+            return 1 / binomial, pair[::-1]
+        if kind == 4:
+            num = P(*(rng.randint(-3, 3) for _ in range(rng.randint(1, 4))))
+            den = P(*(rng.randint(-3, 3) for _ in range(rng.randint(1, 4))))
+            if den:
+                return RationalFunction(num, den), (num, den)
+        a, b = rng.randint(1, 3), rng.randint(0, 3)
+        (value,) = parse_elliott(f"{a}*x^{b}*L/((1 - x))").numerator.values()
+        mono = _laurent({b: Fraction(a)})
+        if not binomial:
+            return value, mono
+        return value / binomial, (mono[0] * pair[1], mono[1] * pair[0])
 
-    def test_random_sequences_match_rational_function(self):
+    def test_random_sequences_match_euclid(self):
         rng = random.Random(83)
-        ops = ("+", "-", "*", "/", "==")
         for _ in range(320):
-            rf = self.operand(rng)
-            lazy = LazyRationalFunction.from_rf(rf)
+            f, pair = self.operand(rng)
             for _ in range(rng.randint(1, 7)):
-                op = rng.choice(ops)
-                other = self.operand(rng) if rng.random() < 0.8 else rf
-                lo = LazyRationalFunction.from_rf(other)
+                op = rng.choice(("+", "-", "*", "/", "=="))
+                g, gpair = (self.operand(rng) if rng.random() < 0.8
+                            else (f, pair))
                 if op == "==":
-                    assert (lazy == lo) == (rf == other)
-                    assert lazy == LazyRationalFunction.from_rf(rf)
+                    same = _euclid_reduce(*pair) == _euclid_reduce(*gpair)
+                    assert (f == g) == same
+                    g.normalised()
+                    assert (f == g) == same
+                    assert f == RationalFunction(*pair)
                     continue
-                if op == "/" and other.is_zero():
-                    assert lo.is_zero()
+                if op == "/" and g.is_zero():
+                    assert gpair[0].is_zero()
                     with pytest.raises(ZeroDivisionError):
-                        lazy / lo
+                        f / g
                     continue
-                fn = {"+": operator.add, "-": operator.sub,
-                      "*": operator.mul, "/": operator.truediv}[op]
-                rf, lazy = fn(rf, other), fn(lazy, lo)
-                assert bool(lazy) == bool(rf)
-                out = lazy.to_rf()
-                assert out.num == rf.num and out.den == rf.den
+                f, pair = self.LAZY[op](f, g), self.EAGER[op](pair, gpair)
+                assert bool(f) == bool(pair[0])
+                assert (f.num, f.den) == _euclid_reduce(*pair)
 
     def test_int_operands_and_zero(self):
-        x = LazyRationalFunction.monomial(1, 1)
+        x = RationalFunction.monomial(1, 1)
         assert (1 - x) - 1 == -x
-        assert ((x - x).num, (x - x).atoms) == ({}, {})
-        assert ((x + 2) / (1 - x) * (1 - x)).to_rf() == 2 + x.to_rf()
-        assert (x / (2 * x * x)).to_rf() == RationalFunction.monomial(
-            Fraction(1, 2), -1)
+        assert ((x - x).terms, (x - x).atoms) == ({}, {})
+        f = (x + 2) / (1 - x) * (1 - x)
+        assert (f.num, f.den) == (P(2, 1), P(1))
+        assert f == 2 + x
+        assert x / (2 * x * x) == RationalFunction.monomial(Fraction(1, 2), -1)
 
 
 class TestRfFromAtoms:
-    """The atom-wise exit normalisation against the Euclid oracle
-    RationalFunction(num, den)."""
+    """The atom-wise normal form against the Euclid oracle
+    `_euclid_reduce`."""
 
     # factors of the Capelli-reducible atoms 1 - c*x^k (c a square with
     # k even, a cube with 3 | k, or -4c a 4th power with 4 | k), and
@@ -244,12 +292,12 @@ class TestRfFromAtoms:
             for a, m in atoms.items():
                 for _ in range(m):
                     den = den * _dense_atom(a)
-            want = RationalFunction(
+            want = _euclid_reduce(
                 Poly([num.get(e - shift, 0)
                       for e in range(max(num, default=0) + shift + 1)]), den)
-            assert (got.num, got.den) == (want.num, want.den), (num, atoms)
+            assert got == want, (num, atoms)
             assert all(type(c) is Fraction
-                       for c in got.num.coeffs + got.den.coeffs)
+                       for c in got[0].coeffs + got[1].coeffs)
         # the Euclid fallback ran, but only on some cases
         assert 0 < fallbacks < 150
 
@@ -262,10 +310,10 @@ class TestRfFromAtoms:
             if A.g != 1:
                 continue
             r = rgf_rational(A, rng.randint(1, 5))
-            want = RationalFunction(Poly.from_ints(r.numerator),
-                                    r.denominator())
+            want = _euclid_reduce(Poly.from_ints(r.numerator),
+                                  r.denominator())
             got = r.to_rational()
-            assert (got.num, got.den) == (want.num, want.den), (A, r)
+            assert (got.num, got.den) == want, (A, r)
             assert r.taylor(60) == series_from_rational(got, 60).coeffs
             checked += 1
 
