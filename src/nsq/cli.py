@@ -53,20 +53,18 @@ def _display_polys(f):
     num, den = f.num.coeffs, f.den.coeffs
     first = next((c for c in den if c), None)
     if first is not None and first < 0:
-        num = tuple(-c for c in num)
-        den = tuple(-c for c in den)
+        num = tuple(-c if c else c for c in num)
+        den = tuple(-c if c else c for c in den)
     return num, den
 
 
-def _format_ratfun(f) -> str:
+def _format_ratfun(num, den) -> str:
     from .rgf import format_poly
 
-    num, den = _display_polys(f)
     return f"({format_poly(num)})/({format_poly(den)})"
 
 
-def _ratfun_json(f) -> dict:
-    num, den = _display_polys(f)
+def _ratfun_json(num, den) -> dict:
     return {"num": {str(e): str(c) for e, c in enumerate(num) if c},
             "den": {str(e): str(c) for e, c in enumerate(den) if c}}
 
@@ -316,9 +314,11 @@ def _run_ct(args):
         except ValueError as exc:
             raise UsageError(exc) from None
         f = ctengine.ct_constant_term(expr, cap=_sieve_cap(args))
-        _emit({"expr": ctengine.render_elliott(expr), "ct": _ratfun_json(f)},
+        polys = _display_polys(f)
+        _emit({"expr": ctengine.render_elliott(expr),
+               "ct": _ratfun_json(*polys)},
               args.format,
-              f"{ctengine.render_elliott(expr)}\nCT = {_format_ratfun(f)}")
+              f"{ctengine.render_elliott(expr)}\nCT = {_format_ratfun(*polys)}")
         return EXIT_OK
     if args.gens is None or args.p is None:
         raise UsageError("ct needs --expr or both --gens and --p")
@@ -340,7 +340,8 @@ def _run_ct(args):
         if f.num * r.denominator() != Poly.from_ints(r.numerator) * f.den:
             print("verify: CT path disagrees with series path", file=sys.stderr)
             return EXIT_INTERNAL
-    _emit({"ct": _ratfun_json(f)}, args.format, _format_ratfun(f))
+    polys = _display_polys(f)
+    _emit({"ct": _ratfun_json(*polys)}, args.format, _format_ratfun(*polys))
     return EXIT_OK
 
 

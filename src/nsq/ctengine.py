@@ -16,8 +16,9 @@ Laurent series field deciding which factors contribute.  Applied to the
 lifted denumerant expression this yields RGF_p(x) exactly.
 
 Every scalar, from the parsed expression to the result, is an
-`exactalg.RationalFunction`: a Laurent polynomial in x over a multiset of
-binomial atoms such as 1 - s, added and multiplied without any gcd
+`exactalg.RationalFunction`: a rational content times an integer Laurent
+polynomial in x over a multiset of integer binomial atoms such as 1 - s,
+added and multiplied without any gcd
 (G. Xin, A fast algorithm for MacMahon's partition analysis, Electron.
 J. Combin. 11 (2004) R58).  The engine divides only by binomials (the
 L-free factors and each 1 - s) and by monomials, so the multisets stay
@@ -254,11 +255,11 @@ def _ring_inv_binomial(g: BinomialFactor, B: int,
     v, c = g.u, g.b
     d = math.gcd(B, c)
     n = B // d
-    scale = 1 - (v ** n * M ** (c // d)).to_ratfun()
+    inv = _ONE / (1 - (v ** n * M ** (c // d)).to_ratfun())
     out = [_ZERO] * B
     for j in range(n):
         q, r = divmod(c * j, B)
-        out[r] = (v ** j * M ** q).to_ratfun() / scale
+        out[r] = (v ** j * M ** q).to_ratfun() * inv
     return out
 
 

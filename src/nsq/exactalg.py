@@ -5,7 +5,8 @@ Rational scalars are `fractions.Fraction`.  `Poly` is coefficient-generic:
 it is used both over Fraction (polynomials in x) and over
 `RationalFunction` (polynomials in a second variable whose coefficients
 are rational functions in x).  `RationalFunction` is the one type for a
-rational function in x: a Laurent numerator over a multiset of atoms,
+rational function in x: one rational content times a primitive integer
+Laurent numerator over a multiset of canonical primitive integer atoms,
 computed with no gcd, whose reduced normal form `rf_from_atoms` computes
 once, on first read.  All operations are pure and every value is
 immutable after construction.  `TruncatedSeries` is
@@ -19,6 +20,8 @@ from fractions import Fraction
 
 from .errors import DivisionByZeroPoly, PoleAtZero
 from .semigroup import TruncatedSeries
+
+_ZERO_F = Fraction(0)
 
 
 def _trim(coeffs):
@@ -169,25 +172,37 @@ def _mul_terms(a, b) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _terms(p) -> dict:
-    """An int, Fraction or Fraction Poly as {exp: Fraction}, zeros dropped."""
-    if isinstance(p, Poly):
-        return {i: Fraction(c) for i, c in enumerate(p.coeffs) if c}
-    return {0: Fraction(p)} if p else {}
+def _terms(p) -> tuple[dict, Fraction]:
+    """An int, Fraction or Fraction Poly as a primitive {exp: int}, zeros
+    dropped, and the content that multiplies it back."""
+    cs = p.coeffs if isinstance(p, Poly) else (p,)
+    cs = {i: Fraction(c) for i, c in enumerate(cs) if c}
+    if not cs:
+        return {}, _ZERO_F
+    den = math.lcm(*[c.denominator for c in cs.values()])
+    cs = {i: c.numerator * (den // c.denominator) for i, c in cs.items()}
+    g = math.gcd(*cs.values())
+    return {i: c // g for i, c in cs.items()}, Fraction(g, den)
 
 
 class RationalFunction:
-    """A rational function in x, kept as a Laurent-polynomial numerator
-    over a multiset of denominator atoms, with no gcd taken.
+    """A rational function in x: one rational content `scale` times a
+    primitive integer Laurent numerator over a multiset of atoms, with
+    no gcd taken.
 
-    `terms` maps exponents to nonzero Fractions.  `atoms` maps each atom,
-    a polynomial with constant term 1 written as its sorted (exp, coef)
-    pairs, to its multiplicity.  A product adds the multisets; a sum
-    lifts both sides to the per-atom maximum; a quotient adds the
-    divisor's numerator, less its monomial factor, as one more atom; and
-    equality is a cross-multiplication.  A value is zero exactly when
-    `terms` is empty.  This is the scalar of G. Xin, A fast algorithm
-    for MacMahon's partition analysis, Electron. J. Combin. 11 (2004) R58.
+    `terms` maps exponents to nonzero ints with gcd 1; `scale` is a
+    Fraction, 0 exactly when `terms` is empty.  `atoms` maps each atom,
+    a primitive integer polynomial with positive constant term written
+    as its sorted (exp, int) pairs, to its multiplicity, so 1 - 2/3x^3
+    and 3 - 2x^3 are one atom.  Products of primitive polynomials are
+    primitive (Gauss), so a product multiplies integers and adds the
+    multisets; a sum lifts both sides to the per-atom maximum, puts the
+    two scales over one denominator and takes out the gcd of the
+    integer sum; a quotient adds the divisor's numerator, less its
+    monomial factor, as one more atom; equality is a cross-
+    multiplication.  Fraction arithmetic runs once per operation, on
+    the scales.  This is the scalar of G. Xin, A fast algorithm for
+    MacMahon's partition analysis, Electron. J. Combin. 11 (2004) R58.
 
     `num` and `den` are the reduced normal form: coprime, den monic,
     Fraction coefficients, and x^-k written with x^k in the denominator.
@@ -197,24 +212,26 @@ class RationalFunction:
     are immutable: the cache only fills in.
     """
 
-    __slots__ = ("terms", "atoms", "_form")
+    __slots__ = ("terms", "scale", "atoms", "_form")
 
     def __init__(self, num, den=None):
         """num / den for ints, Fractions or Polys over Fraction."""
-        value = self._new(_terms(num))
+        value = self._new(*_terms(num))
         if den is not None:
-            den = self._new(_terms(den))
+            den = self._new(*_terms(den))
             if not den.terms:
                 raise ZeroDivisionError(
                     "rational function with zero denominator")
             value = value / den
-        self.terms, self.atoms, self._form = value.terms, value.atoms, None
+        self.terms, self.scale = value.terms, value.scale
+        self.atoms, self._form = value.atoms, None
 
     @classmethod
-    def _new(cls, terms: dict, atoms: dict | None = None):
-        """terms / prod atoms, built without `__init__`."""
+    def _new(cls, terms: dict, scale: Fraction, atoms: dict | None = None):
+        """scale * terms / prod atoms, built without `__init__`."""
         f = object.__new__(cls)
         f.terms = terms
+        f.scale = scale if terms else _ZERO_F
         f.atoms = atoms if terms and atoms else {}
         f._form = None
         return f
@@ -222,12 +239,12 @@ class RationalFunction:
     @classmethod
     def monomial(cls, coef, exp):
         """coef * x^exp with exp allowed negative."""
-        return cls._new({exp: Fraction(coef)} if coef else {})
+        return cls._new({exp: 1} if coef else {}, Fraction(coef))
 
     def normalised(self) -> "RationalFunction":
         """This value, with its normal form computed and cached."""
         if self._form is None:
-            self._form = rf_from_atoms(self.terms, self.atoms)
+            self._form = rf_from_atoms(self.terms, self.atoms, self.scale)
         return self
 
     @property
@@ -249,7 +266,7 @@ class RationalFunction:
         if isinstance(v, RationalFunction):
             return v
         if isinstance(v, (int, Fraction)):
-            return RationalFunction._new({0: Fraction(v)} if v else {})
+            return RationalFunction.monomial(v, 0)
         return NotImplemented
 
     def _lift(self, atoms: dict) -> dict:
@@ -273,14 +290,23 @@ class RationalFunction:
             return NotImplemented
         if self._form is not None and other._form is not None:
             return self._form == other._form
+        # both lifted numerators are primitive, so they agree up to sign
         atoms = self._common_atoms(other)
-        return self._lift(atoms) == other._lift(atoms)
+        a, b = self._lift(atoms), other._lift(atoms)
+        if self.scale == other.scale:
+            return a == b
+        return (self.scale == -other.scale
+                and a == {e: -c for e, c in b.items()})
 
     def __hash__(self):
-        return hash(self.normalised()._form)
+        num, den = self.normalised()._form
+        # a constant hashes as the Fraction it equals
+        if den.deg == 0 and num.deg < 1:
+            return hash(num.coeff(0))
+        return hash(self._form)
 
     def __neg__(self):
-        return self._new({e: -c for e, c in self.terms.items()}, self.atoms)
+        return self._new(self.terms, -self.scale, self.atoms)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -291,12 +317,21 @@ class RationalFunction:
         if not self.terms:
             return other
         atoms = self._common_atoms(other)
-        num = dict(self._lift(atoms))
+        p, q = self.scale, other.scale
+        den = math.lcm(p.denominator, q.denominator)
+        i = p.numerator * (den // p.denominator)
+        j = q.numerator * (den // q.denominator)
+        g = math.gcd(i, j)
+        i, j = i // g, j // g
+        num = {e: i * c for e, c in self._lift(atoms).items()}
         for e, c in other._lift(atoms).items():
-            c += num.pop(e, 0)
+            c = j * c + num.pop(e, 0)
             if c:
                 num[e] = c
-        return self._new(num, atoms)
+        h = math.gcd(*num.values())
+        if h > 1:
+            num = {e: c // h for e, c in num.items()}
+        return self._new(num, Fraction(g * h, den), atoms)
 
     __radd__ = __add__
 
@@ -317,7 +352,7 @@ class RationalFunction:
         for atom, k in other.atoms.items():
             atoms[atom] = atoms.get(atom, 0) + k
         return self._new(_mul_terms(self.terms.items(), other.terms.items()),
-                         atoms)
+                         self.scale * other.scale, atoms)
 
     __rmul__ = __mul__
 
@@ -328,17 +363,18 @@ class RationalFunction:
         if not other.terms:
             raise ZeroDivisionError("division by zero rational function")
         s = min(other.terms)
-        lead = other.terms[s]
-        num = _mul_terms(self.terms.items(), ((-s, 1 / lead),))
+        sign = 1 if other.terms[s] > 0 else -1
+        num = {e - s: c for e, c in self.terms.items()}
         for atom, k in other.atoms.items():
             for _ in range(k):
                 num = _mul_terms(num.items(), atom)
         atoms = dict(self.atoms)
         if len(other.terms) > 1:
-            atom = tuple(sorted((e - s, c / lead)
+            atom = tuple(sorted((e - s, sign * c)
                                 for e, c in other.terms.items()))
             atoms[atom] = atoms.get(atom, 0) + 1
-        return self._new(num, atoms)
+        scale = self.scale / other.scale
+        return self._new(num, scale if sign > 0 else -scale, atoms)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -362,14 +398,13 @@ class RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# normal form: a Laurent numerator over atoms with constant term 1, reduced
-# in integer arithmetic.  Integer polynomials are lists, constant term
+# normal form: an integer Laurent numerator over integer atoms, reduced in
+# integer arithmetic.  Integer polynomials are lists, constant term
 # first, with a nonzero last entry.
 
 # 61-bit primes for the modular coprimality test
 _PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
 _CYCLOTOMIC = {}
-_ZERO_F = Fraction(0)
 
 
 def _divisors(n: int) -> set:
@@ -481,57 +516,55 @@ def _coprime_mod_p(p: list, a: list) -> bool:
     return len(u) == 1
 
 
-def _ints(terms, low: int) -> tuple[list, int]:
-    """Integer coefficients of sum c x^(e - low) over (e, c) pairs, and the
-    positive lcm of the coefficient denominators that clears them."""
-    den = math.lcm(*[c.denominator for _, c in terms])
+def _dense(terms, low: int) -> list:
+    """sum c x^(e - low) over (e, c) pairs as a dense list."""
     out = [0] * (max(e for e, _ in terms) - low + 1)
     for e, c in terms:
-        out[e - low] = c.numerator * (den // c.denominator)
-    return out, den
+        out[e - low] = c
+    return out
 
 
-def rf_from_atoms(num: dict, atoms: dict) -> tuple[Poly, Poly]:
-    """The normal form (num, den) of num / prod atom^mult: coprime, den
-    monic, Fraction coefficients; no Euclid unless a reducible atom
-    shares a factor with the numerator.
+def rf_from_atoms(num: dict, atoms: dict,
+                  scale: Fraction) -> tuple[Poly, Poly]:
+    """The normal form (num, den) of scale * num / prod atom^mult:
+    coprime, den monic, Fraction coefficients; no Euclid unless a
+    reducible atom shares a factor with the numerator.
 
-    `num` maps exponents of any sign to nonzero rationals.  Each atom is
-    a polynomial with constant term 1, written as its sorted (exp, coef)
-    pairs, mapped to its multiplicity; atoms are coprime to x, so the
-    power of x needs no gcd.  The numerator is cleared to integers once.
-    An atom 1 - x^k is the product of the irreducible F_d, d | k (see
-    `_cyclotomic`), so exact division decides how often each cancels.
-    Any other atom is divided out while the division is exact; then
-    `_coprime_mod_p` proves it coprime to the rest.  Only when that
-    fails, which by Capelli's theorem needs a reducible atom such as
-    1 - 4x^2, does one Euclid `poly_gcd` take out the common factor.
-    The denominator is rebuilt from what did not cancel, and the pair
-    is made monic directly, with no second gcd.
+    `num` maps exponents of any sign to nonzero ints.  Each atom is a
+    primitive integer polynomial with positive constant term, written as
+    its sorted (exp, int) pairs, mapped to its multiplicity; atoms are
+    coprime to x, so the power of x needs no gcd, and integer, so no
+    denominator needs clearing.  An atom 1 - x^k is the product of the
+    irreducible F_d, d | k (see `_cyclotomic`), so exact division decides
+    how often each cancels; F_d is skipped when its degree phi(d)
+    exceeds the numerator's.  Any other atom is divided out while the
+    division is exact; then `_coprime_mod_p` proves it coprime to the
+    rest.  Only when that fails, which by Capelli's theorem needs a
+    reducible atom such as 1 - 4x^2, does one Euclid `poly_gcd` take out
+    the common factor.  The denominator is rebuilt from what did not
+    cancel, and the pair is made monic directly, with no second gcd.
     """
     if not num:
         return Poly(), Poly([Fraction(1)])
-    # the value is scale * N / (x^-low * prod atoms), N in integers
+    # the value is scale * N / (x^-low * prod atoms)
     low = min(num)
-    N, clear = _ints(num.items(), low)
-    g = math.gcd(*N)
-    N = [c // g for c in N]
-    scale = Fraction(g, clear)
+    N = _dense(num.items(), low)
     cyclo = {}
     others = []
     for atom, m in atoms.items():
-        if len(atom) == 2 and atom[1][1] == -1:
+        if len(atom) == 2 and atom[0][1] == 1 and atom[1][1] == -1:
             for d in _divisors(atom[1][0]):
                 cyclo[d] = cyclo.get(d, 0) + m
         else:
-            a, clear = _ints(atom, 0)
-            scale *= clear ** m
-            others.append((a, m))
+            others.append((_dense(atom, 0), m))
     net = {}  # e -> exponent of (1 - x^e) in what is left of the F_d
     for d, m in cyclo.items():
-        while m and (q := _over_cyclotomic(N, d)) is not None:
+        f = _cyclotomic(d)
+        phi = sum(e * mu for e, mu in f)
+        while (m and len(N) > phi
+               and (q := _over_cyclotomic(N, d)) is not None):
             N, m = q, m - 1
-        for e, mu in _cyclotomic(d) if m else ():
+        for e, mu in f if m else ():
             net[e] = net.get(e, 0) + mu * m
     den = [1]
     for a, m in others:
@@ -553,7 +586,7 @@ def rf_from_atoms(num: dict, atoms: dict) -> tuple[Poly, Poly]:
         for _ in range(-k):
             den = _over(den, _one_minus_pow(e))
     lead = den[-1]
-    scale /= lead
+    scale = Fraction(scale, lead)
     sn, sd = scale.numerator, scale.denominator
     return (Poly([_ZERO_F] * max(low, 0)
                  + [Fraction(c * sn, sd) if c else _ZERO_F for c in N]),

@@ -285,8 +285,7 @@ class TestConstantTerm:
         calls = []
         reduce = nsq.exactalg.rf_from_atoms
         monkeypatch.setattr(nsq.exactalg, "rf_from_atoms",
-                            lambda num, atoms: calls.append(1)
-                            or reduce(num, atoms))
+                            lambda *args: calls.append(1) or reduce(*args))
         for run in (lambda: ct_constant_term(E),
                     lambda: ct_rgf_rational(A, 3),
                     lambda: residue_A0(E, 1).A0,

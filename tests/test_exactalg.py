@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -164,6 +165,26 @@ class TestRationalFunction:
         assert m.den == P(0, 0, 1)
         assert m.as_monomial() == (Fraction(3), -2)
 
+    def test_constant_hashes_as_its_fraction(self):
+        x = RationalFunction.monomial(1, 1)
+        assert RationalFunction(1) == 1
+        assert hash(RationalFunction(1)) == hash(1)
+        assert len({RationalFunction(1), 1}) == 1
+        v = object()
+        assert {Fraction(2): v}.get(RationalFunction(2)) is v
+        assert {Fraction(-2, 3): v}.get((2 * x) / (-3 * x)) is v
+        assert hash(x - x) == hash(0)
+
+    def test_negative_content(self):
+        x = RationalFunction.monomial(1, 1)
+        f = RationalFunction.monomial(Fraction(-3, 2), 1) / (1 - x)
+        g = RationalFunction(P(0, Fraction(3, 2)), P(1, -1))
+        assert f.scale < 0 < g.scale
+        assert f != g and -f == g and f == -g and -(-f) == f
+        assert 0 - f == g and f - f == 0 and f + g == 0
+        assert (-f).num == g.num and f.num == -g.num and f.den == g.den
+        assert (f * f) == (g * g) and f / g == -1
+
 
 class TestGcdFreeArithmetic:
     """RationalFunction arithmetic, op by op, against eager (num, den)
@@ -182,15 +203,16 @@ class TestGcdFreeArithmetic:
     def operand(rng):
         """A value and its eager pair: a Laurent monomial, a binomial
         1 - c*x^k or its inverse, the numerator coefficient of a parsed
-        Elliott expression over a binomial, or num/den built by the
-        constructor."""
+        Elliott expression over a binomial, num/den built by the
+        constructor, or a sum a + b*x^k or its inverse; coefficients are
+        fractional and of either sign."""
         coef = Fraction(rng.choice((-3, -2, -1, 1, 2))) / rng.choice((1, 2))
         e, k = rng.randint(-3, 4), rng.randint(-3, 4)
         terms = {0: Fraction(1)}
         terms[k] = terms.get(k, 0) - coef
         binomial = 1 - RationalFunction.monomial(coef, k)
         pair = _laurent(terms)
-        kind = rng.randrange(5)
+        kind = rng.randrange(6)
         if kind == 0:
             return RationalFunction.monomial(coef, e), _laurent({e: coef})
         if kind == 1:
@@ -198,10 +220,21 @@ class TestGcdFreeArithmetic:
         if kind == 2 and binomial:
             return 1 / binomial, pair[::-1]
         if kind == 4:
-            num = P(*(rng.randint(-3, 3) for _ in range(rng.randint(1, 4))))
-            den = P(*(rng.randint(-3, 3) for _ in range(rng.randint(1, 4))))
+            num, den = (Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                              for _ in range(rng.randint(1, 4))])
+                        for _ in range(2))
             if den:
                 return RationalFunction(num, den), (num, den)
+        if kind == 5:
+            a, b = (Fraction(rng.choice((-4, -3, -2, 2, 3)), rng.randint(1, 3))
+                    for _ in range(2))
+            terms = {0: a}
+            terms[k] = terms.get(k, 0) + b
+            value = (RationalFunction.monomial(a, 0)
+                     + RationalFunction.monomial(b, k))
+            if value and rng.random() < 0.5:
+                return 1 / value, _laurent(terms)[::-1]
+            return value, _laurent(terms)
         a, b = rng.randint(1, 3), rng.randint(0, 3)
         (value,) = parse_elliott(f"{a}*x^{b}*L/((1 - x))").numerator.values()
         mono = _laurent({b: Fraction(a)})
@@ -230,6 +263,7 @@ class TestGcdFreeArithmetic:
                         f / g
                     continue
                 f, pair = self.LAZY[op](f, g), self.EAGER[op](pair, gpair)
+                _assert_canonical(f)
                 assert bool(f) == bool(pair[0])
                 assert (f.num, f.den) == _euclid_reduce(*pair)
 
@@ -241,6 +275,15 @@ class TestGcdFreeArithmetic:
         assert (f.num, f.den) == (P(2, 1), P(1))
         assert f == 2 + x
         assert x / (2 * x * x) == RationalFunction.monomial(Fraction(1, 2), -1)
+
+    def test_one_atom_per_primitive_divisor(self):
+        # 2 - 3x, -4 + 6x and 1 - 3/2x are the atom 2 - 3x, up to content
+        f = 1 / RationalFunction(P(2, -3)) / RationalFunction(P(-4, 6))
+        assert f.atoms == {((0, 2), (1, -3)): 2}
+        assert (f.num, f.den) == _euclid_reduce(P(1), P(-8, 24, -18))
+        g = f / (1 - RationalFunction.monomial(Fraction(3, 2), 1))
+        assert g.atoms == {((0, 2), (1, -3)): 3}
+        _assert_canonical(g)
 
 
 class TestRfFromAtoms:
@@ -256,9 +299,12 @@ class TestRfFromAtoms:
 
     @staticmethod
     def atom(rng):
+        """1 - c*x^k as a canonical integer atom: q - p*x^k for c = p/q,
+        which for q > 1 is not cyclotomic even when p = 1."""
         c = Fraction(rng.choice((1, 1, -1, 2, -3, 4, -4, 8, 9))) / rng.choice(
             (1, 1, 1, 2, 3))
-        return (0, Fraction(1)), (rng.choice((1, 2, 3, 4, 6, 8, 9, 12)), -c)
+        k = rng.choice((1, 2, 3, 4, 6, 8, 9, 12))
+        return (0, c.denominator), (k, -c.numerator)
 
     def case(self, rng):
         atoms = {}
@@ -285,7 +331,9 @@ class TestRfFromAtoms:
         for _ in range(300):
             num, atoms, low = self.case(rng)
             del calls[:]
-            got = rf_from_atoms(num, atoms)
+            clear = math.lcm(*(c.denominator for c in num.values()))
+            got = rf_from_atoms({e: int(c * clear) for e, c in num.items()},
+                                atoms, Fraction(1, clear))
             fallbacks += bool(calls)
             shift = max(0, -low)
             den = Poly.monomial(Fraction(1), shift)
@@ -300,6 +348,47 @@ class TestRfFromAtoms:
                        for c in got[0].coeffs + got[1].coeffs)
         # the Euclid fallback ran, but only on some cases
         assert 0 < fallbacks < 150
+
+    def test_non_unit_binomial_is_not_cyclotomic(self):
+        # 2 - x^3 shares no factor with 1 - x^3, which would cancel the
+        # numerator if the atom were read as 1 - x^3
+        for k in (1, 3, 4):
+            num = P(*([1] + [0] * (k - 1) + [-1]))
+            den = P(*([2] + [0] * (k - 1) + [-1]))
+            got = rf_from_atoms({0: 1, k: -1}, {((0, 2), (k, -1)): 1},
+                                Fraction(1))
+            assert got == _euclid_reduce(num, den)
+            assert RationalFunction(num, den).den == den.monic()
+
+    def test_cyclotomic_factors_above_the_numerator_degree_are_skipped(
+            self, monkeypatch):
+        over = nsq.exactalg._over_cyclotomic
+        calls = []
+        monkeypatch.setattr(nsq.exactalg, "_over_cyclotomic",
+                            lambda p, d: calls.append((len(p) - 1, d))
+                            or over(p, d))
+        k = 720720
+        num, den = rf_from_atoms({0: 1}, {((0, 1), (k, -1)): 1}, Fraction(1))
+        assert calls == []
+        assert num == P(-1) and den.coeffs[0] == -1 and den.deg == k
+        assert den.coeffs[1:-1] == (0,) * (k - 1) and den.lead == 1
+
+        def phi(d):
+            return sum(math.gcd(i, d) == 1 for i in range(1, d + 1))
+
+        rng = random.Random(101)
+        for _ in range(30):
+            k = rng.choice((6, 12, 30, 60))
+            num = P(*(rng.randint(-2, 2) for _ in range(rng.randint(1, 5))))
+            if not num:
+                continue
+            num = num * rng.choice((P(1), P(1, -1), P(1, 1), P(1, 1, 1)))
+            del calls[:]
+            got = rf_from_atoms({e: int(c) for e, c in enumerate(num.coeffs)
+                                 if c}, {((0, 1), (k, -1)): 2}, Fraction(1))
+            assert got == _euclid_reduce(num, P(*([1] + [0] * (k - 1) + [-1]))
+                                         * P(*([1] + [0] * (k - 1) + [-1])))
+            assert all(phi(d) <= deg for deg, d in calls)
 
     def test_rgf_to_rational_matches_euclid(self):
         rng = random.Random(97)
@@ -316,6 +405,17 @@ class TestRfFromAtoms:
             assert (got.num, got.den) == want, (A, r)
             assert r.taylor(60) == series_from_rational(got, 60).coeffs
             checked += 1
+
+
+def _assert_canonical(f):
+    """A primitive integer numerator, and atoms that are primitive integer
+    polynomials with positive constant term, as sorted (exp, int) pairs."""
+    assert all(type(c) is int for c in f.terms.values())
+    assert not f.terms or math.gcd(*f.terms.values()) == 1
+    for atom in f.atoms:
+        assert all(type(c) is int for _, c in atom) and list(atom) == sorted(atom)
+        assert atom[0][0] == 0 and atom[0][1] > 0 and len(atom) > 1
+        assert math.gcd(*(c for _, c in atom)) == 1
 
 
 def _dense_atom(atom):
