@@ -49,24 +49,31 @@ def _ints_line(values) -> str:
     return " ".join(str(v) for v in values)
 
 
-def _display_polys(f):
-    num, den = f.num.coeffs, f.den.coeffs
-    first = next((c for c in den if c), None)
-    if first is not None and first < 0:
-        num = tuple(-c if c else c for c in num)
-        den = tuple(-c if c else c for c in den)
+def _display_terms(f):
+    """The nonzero (exp, coef) pairs of f's numerator and denominator,
+    both negated when the denominator's lowest term is negative."""
+    num = [(e, c) for e, c in enumerate(f.num.coeffs) if c]
+    den = [(e, c) for e, c in enumerate(f.den.coeffs) if c]
+    if den[0][1] < 0:
+        num = [(e, -c) for e, c in num]
+        den = [(e, -c) for e, c in den]
     return num, den
 
 
-def _format_ratfun(num, den) -> str:
-    from .rgf import format_poly
+def _emit_ct(f, fmt: str, expr: str | None = None):
+    """Print the CT result f, after the rendered `expr` where one is
+    given, building only the form fmt asks for."""
+    num, den = _display_terms(f)
+    if fmt == "json":
+        ct = {"num": {str(e): str(c) for e, c in num},
+              "den": {str(e): str(c) for e, c in den}}
+        _emit({"ct": ct} if expr is None else {"expr": expr, "ct": ct},
+              fmt, None)
+    else:
+        from .rgf import format_poly
 
-    return f"({format_poly(num)})/({format_poly(den)})"
-
-
-def _ratfun_json(num, den) -> dict:
-    return {"num": {str(e): str(c) for e, c in enumerate(num) if c},
-            "den": {str(e): str(c) for e, c in enumerate(den) if c}}
+        text = f"({format_poly(num)})/({format_poly(den)})"
+        _emit(None, fmt, text if expr is None else f"{expr}\nCT = {text}")
 
 
 def _env_cap(name: str, default: int) -> int:
@@ -116,17 +123,18 @@ def non_negative_int(text: str) -> int:
     return n
 
 
-def _add_caps(p):
-    p.add_argument("--sieve-cap", type=non_negative_int, default=None)
-    p.add_argument("--tp-cap", type=non_negative_int, default=None)
+def _add_caps(p, *flags):
+    """The cap flags a command charges: --sieve-cap, --tp-cap or both."""
+    for flag in flags:
+        p.add_argument(flag, type=non_negative_int, default=None)
 
 
-def _add_common(p, need_p=False):
+def _add_common(p, need_p=False, caps=("--sieve-cap",)):
     p.add_argument("--gens", required=True, help="comma-separated generators")
     if need_p:
         p.add_argument("--p", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_caps(p)
+    _add_caps(p, *caps)
 
 
 def _membership_args(p):
@@ -148,12 +156,16 @@ def _denumerant_args(p):
 def _quotient_args(p):
     p.add_argument("action", choices=("gens", "minimal", "membership",
                                       "frobenius", "table1"))
-    _add_common(p, need_p=True)
+    _add_common(p, need_p=True, caps=("--sieve-cap", "--tp-cap"))
     p.add_argument("--bound", type=non_negative_int, default=None)
 
 
-def _with_p(p):
-    _add_common(p, need_p=True)
+def _tp_args(p):
+    _add_common(p, need_p=True, caps=("--tp-cap",))
+
+
+def _verify_args(p):
+    _add_common(p, need_p=True, caps=("--sieve-cap", "--tp-cap"))
 
 
 def _rgf_args(p):
@@ -168,7 +180,7 @@ def _ct_args(p):
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--expr", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_caps(p)
+    _add_caps(p, "--sieve-cap")
     p.add_argument("--verify", action="store_true")
 
 
@@ -257,7 +269,7 @@ def _run_quotient(args):
         f = quotient.frobenius_quotient(q, cap=_sieve_cap(args))
         _emit({"frobenius": f}, args.format, "NONE" if f is None else str(f))
     else:
-        g = quotient.table1_generators(q)
+        g = quotient.table1_generators(q, cap=_tp_cap(args))
         _emit({"generators": g}, args.format, _ints_line(g))
     return EXIT_OK
 
@@ -314,11 +326,7 @@ def _run_ct(args):
         except ValueError as exc:
             raise UsageError(exc) from None
         f = ctengine.ct_constant_term(expr, cap=_sieve_cap(args))
-        polys = _display_polys(f)
-        _emit({"expr": ctengine.render_elliott(expr),
-               "ct": _ratfun_json(*polys)},
-              args.format,
-              f"{ctengine.render_elliott(expr)}\nCT = {_format_ratfun(*polys)}")
+        _emit_ct(f, args.format, ctengine.render_elliott(expr))
         return EXIT_OK
     if args.gens is None or args.p is None:
         raise UsageError("ct needs --expr or both --gens and --p")
@@ -340,8 +348,7 @@ def _run_ct(args):
         if f.num * r.denominator() != Poly.from_ints(r.numerator) * f.den:
             print("verify: CT path disagrees with series path", file=sys.stderr)
             return EXIT_INTERNAL
-    polys = _display_polys(f)
-    _emit({"ct": _ratfun_json(*polys)}, args.format, _format_ratfun(*polys))
+    _emit_ct(f, args.format)
     return EXIT_OK
 
 
@@ -372,10 +379,10 @@ _COMMANDS = {
     "apery": (_apery_args, _run_apery),
     "denumerant": (_denumerant_args, _run_denumerant),
     "quotient": (_quotient_args, _run_quotient),
-    "tp": (_with_p, _run_tp),
+    "tp": (_tp_args, _run_tp),
     "rgf": (_rgf_args, _run_rgf),
     "ct": (_ct_args, _run_ct),
-    "verify": (_with_p, _run_verify),
+    "verify": (_verify_args, _run_verify),
 }
 
 

@@ -4,10 +4,13 @@ variable L over exact rational functions in x.
 An expression is a Laurent polynomial in L with rational-function
 coefficients divided by a product of binomial factors (1 - u*L^b), where
 u is a signed monomial c*x^e.  Residues are computed in Q(x)[L]/(1 - u*L^b),
-where every other factor has a closed-form inverse: with L^b = M = 1/u,
+which divides by each other factor in closed form: with L^b = M = 1/u,
 y = v*L^c and n = b/gcd(b, c), y^n is the scalar s = v^n M^{cn/b}, so
 
-    1/(1 - y) = (1 + y + ... + y^{n-1}) / (1 - s).
+    1/(1 - y) = (1 + y + ... + y^{n-1}) / (1 - s),
+
+and a division adds n - 1 rotations of the nonzero slots by y and
+divides by 1 - s once per slot.
 
 s = 1 exactly when the two factors share a root, which a monomial test
 decides beforehand.  The constant term follows from the partial
@@ -151,11 +154,6 @@ def reduce_factor_mod(E: CTExpr, s: int) -> CTExpr:
         raise ValueError("cannot reduce modulo an L-free factor")
     B = abs(f.b)
     M = f.u.inv() if f.b > 0 else f.u  # L^B is congruent to M
-    num: dict[int, RationalFunction] = {}
-    for e, c in E.numerator.items():
-        q, r = divmod(e, B)
-        val = c * (M ** q).to_ratfun() if q else c
-        num[r] = num.get(r, _ZERO) + val
     factors = []
     for j, g in enumerate(E.factors):
         if j == s or g.b == 0:
@@ -163,7 +161,7 @@ def reduce_factor_mod(E: CTExpr, s: int) -> CTExpr:
             continue
         q, r = divmod(g.b, B)
         factors.append(BinomialFactor(g.u * (M ** q), r) if q else g)
-    return CTExpr(num, factors)
+    return CTExpr(_ring_reduce(E.numerator, B, M), factors)
 
 
 def _fold_free_factors(num: dict[int, RationalFunction], factors):
@@ -200,8 +198,9 @@ def _check_pairwise_coprime(lam):
 def _ring_cells(lam, pos: int) -> int:
     """Size of the residue ring of the factor (1 - u*L^b) at `pos`: it
     holds b scalars whose numerators grow with the x-degrees of the
-    scale binomials 1 - v^n M^{c/d} of `_ring_inv_binomial`, so it
-    counts b * (1 + sum of those degrees)."""
+    scale binomials 1 - v^n M^{c/d} that `_ring_div_binomial` divides
+    by, one per other factor, so it counts b * (1 + sum of those
+    degrees)."""
     f = lam[pos][1]
     deg = 1
     for k, (_, g) in enumerate(lam):
@@ -219,48 +218,37 @@ def _charge_rings(lam, cap: int):
 
 
 def _ring_reduce(num: dict[int, RationalFunction], B: int,
-                 M: Monomial) -> list[RationalFunction]:
-    """Map a Laurent polynomial in L into Q(x)[L]/(L^B - M)."""
-    out = [_ZERO] * B
+                 M: Monomial) -> dict[int, RationalFunction]:
+    """Map a Laurent polynomial in L into Q(x)[L]/(L^B - M), as the
+    nonzero slots {r: coefficient of L^r}, 0 <= r < B."""
+    out: dict[int, RationalFunction] = {}
     for e, c in num.items():
         q, r = divmod(e, B)
-        out[r] = out[r] + (c * (M ** q).to_ratfun() if q else c)
-    return out
+        out[r] = out.get(r, _ZERO) + (c * (M ** q).to_ratfun() if q else c)
+    return {r: c for r, c in out.items() if c}
 
 
-def _ring_mul(a: list[RationalFunction], b: list[RationalFunction], B: int,
-              M_l: RationalFunction) -> list[RationalFunction]:
-    out = [_ZERO] * B
-    for i, ci in enumerate(a):
-        if ci.is_zero():
-            continue
-        for j, cj in enumerate(b):
-            if cj.is_zero():
-                continue
-            e = i + j
-            v = ci * cj
-            if e >= B:
-                e -= B
-                v = v * M_l
-            out[e] = out[e] + v
-    return out
-
-
-def _ring_inv_binomial(g: BinomialFactor, B: int,
-                       M: Monomial) -> list[RationalFunction]:
-    """(1 - v*L^c)^{-1} in Q(x)[L]/(L^B - M) by the closed form
-    sum_{j<n} (v*L^c)^j / (1 - v^n M^{c/d}), d = gcd(B, c), n = B/d,
-    since L^{cn} = (L^B)^{c/d}; the exponents c*j mod B, j < n, are
-    distinct."""
+def _ring_div_binomial(elt: dict[int, RationalFunction], g: BinomialFactor,
+                       B: int, M: Monomial) -> dict[int, RationalFunction]:
+    """elt / (1 - v*L^c) in Q(x)[L]/(L^B - M), for elt as `_ring_reduce`
+    returns it: (elt + y*elt + ... + y^{n-1}*elt) / (1 - s) with
+    y = v*L^c, d = gcd(B, c), n = B/d and s = y^n = v^n M^{c/d}.
+    Multiplying by y rotates the nonzero slots by c mod B, times
+    v*M^{floor(c/B)}; a slot that wraps past B takes one more M."""
     v, c = g.u, g.b
     d = math.gcd(B, c)
     n = B // d
+    q, r = divmod(c, B)
+    step = v * M ** q
+    stay, wrap = step.to_ratfun(), (step * M).to_ratfun()
+    total, term = dict(elt), elt
+    for _ in range(n - 1):
+        term = {(i + r) % B: val * (stay if i + r < B else wrap)
+                for i, val in term.items()}
+        for i, val in term.items():
+            total[i] = total[i] + val if i in total else val
     inv = _ONE / (1 - (v ** n * M ** (c // d)).to_ratfun())
-    out = [_ZERO] * B
-    for j in range(n):
-        q, r = divmod(c * j, B)
-        out[r] = (v ** j * M ** q).to_ratfun() * inv
-    return out
+    return {i: val * inv for i, val in total.items() if val}
 
 
 def _residue_poly(num: dict[int, RationalFunction], lam,
@@ -270,12 +258,14 @@ def _residue_poly(num: dict[int, RationalFunction], lam,
     f = lam[pos][1]
     B = f.b
     M = f.u.inv()
-    M_l = M.to_ratfun()
     elt = _ring_reduce(num, B, M)
     for k, (_, g) in enumerate(lam):
         if k != pos:
-            elt = _ring_mul(elt, _ring_inv_binomial(g, B, M), B, M_l)
-    return elt
+            elt = _ring_div_binomial(elt, g, B, M)
+    coeffs = [_ZERO] * B
+    for r, c in elt.items():
+        coeffs[r] = c
+    return coeffs
 
 
 def residue_A0(E: CTExpr, s: int) -> Residue:

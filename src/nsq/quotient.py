@@ -168,13 +168,14 @@ def generates_quotient(gens, q: QuotientSpec,
     return bool(gens) and not _compare_with_quotient(gens, q, cap)[2]
 
 
-def table1_generators(q: QuotientSpec) -> list[int]:
+def table1_generators(q: QuotientSpec, cap: int = DEFAULT_TP_CAP) -> list[int]:
     """Table 1 of the paper, three generators and p in {2, 3}: the
     generators (divided by p where p divides them) and the values of the
-    componentwise-minimal T_p tuples over the coprime part."""
+    componentwise-minimal T_p tuples over the coprime part, whose
+    enumeration is charged against cap."""
     if q.p not in (2, 3) or len(q.A.gens) != 3:
         raise NoMatchingRow("rows cover three distinct generators with p in {2, 3}")
-    tp = _enumerate_tp(q.remainder, q.p, DEFAULT_TP_CAP)
+    tp = _enumerate_tp(q.remainder, q.p, cap)
     minimal = (v for x, v in zip(tp.tuples, tp.values)
                if not any(y != x and all(map(operator.le, y, x))
                           for y in tp.tuples))

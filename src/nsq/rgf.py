@@ -152,11 +152,12 @@ def gens_from_rgf(r: RGFRational, A: GeneratorList, p: int) -> list[int]:
     return sorted(out)
 
 
-def format_poly(coeffs) -> str:
-    """Ascending-exponent text of a polynomial, e.g. 1 - 2*x + x^4; "0"
-    when every coefficient is zero."""
+def format_poly(pairs) -> str:
+    """Ascending-exponent text of a polynomial given as (exp, coef)
+    pairs in ascending exponent order, e.g. 1 - 2*x + x^4; "0" when
+    every coefficient is zero."""
     terms = []
-    for e, c in enumerate(coeffs):
+    for e, c in pairs:
         if not c:
             continue
         body = str(abs(c)) if e == 0 else (
@@ -171,7 +172,7 @@ def format_poly(coeffs) -> str:
 def render_text(r: RGFRational) -> str:
     """Ascending-exponent text form, e.g. (1 + x^4)/((1-x^3)*(1-x^5))."""
     den = "*".join(f"(1-x^{b})" for b in r.denom_factors)
-    return f"({format_poly(r.numerator)})/({den})"
+    return f"({format_poly(enumerate(r.numerator))})/({den})"
 
 
 def to_json_dict(r: RGFRational) -> dict:

@@ -215,6 +215,30 @@ class TestExitCodes:
             assert (code, out) == (3, ""), cmd
             assert err.startswith("cap exceeded: ") and "tuples" in err
 
+    def test_table1_honours_tp_cap(self, capsys):
+        argv = ("quotient", "table1", "--gens", "2,3,5", "--p", "3")
+        assert run(capsys, *argv) == (0, "1 2 3 4 5\n", "")
+        assert run(capsys, *argv, "--tp-cap", "0") == (
+            3, "", "cap exceeded: 9 tuples exceed cap 0\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("membership", "--gens", "3,5", "--bound", "10"), "--tp-cap"),
+        (("frobenius", "--gens", "3,5"), "--tp-cap"),
+        (("gaps", "--gens", "3,5"), "--tp-cap"),
+        (("minimal-gens", "--gens", "3,5"), "--tp-cap"),
+        (("apery", "--gens", "3,5", "--m", "3"), "--tp-cap"),
+        (("denumerant", "--gens", "3,5", "--n", "15"), "--tp-cap"),
+        (("rgf", "series", "--gens", "3,5", "--p", "2"), "--tp-cap"),
+        (("ct", "--gens", "3,5", "--p", "2"), "--tp-cap"),
+        (("ct", "--expr", "1/((1 - x*L))"), "--tp-cap"),
+        (("tp", "--gens", "4,11", "--p", "3"), "--sieve-cap"),
+    ])
+    def test_a_cap_the_command_does_not_charge_is_a_usage_error(
+            self, capsys, argv, flag):
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv, flag, "0") == (
+            1, "", f"usage error: unrecognized arguments: {flag} 0\n")
+
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("NSQ_SIEVE_CAP", "100")
         assert run(capsys, "frobenius", "--gens", "101,103")[0] == 3
@@ -381,12 +405,16 @@ _OPTIONS = {
     "--sieve-cap": st.integers(-1, 300).map(str),
     "--tp-cap": st.integers(-1, 30).map(str),
 }
+# each command's own flags, its cap flags included: a cap flag that the
+# command does not charge is a usage error
+_SIEVE, _TP, _BOTH = ("--sieve-cap",), ("--tp-cap",), ("--sieve-cap", "--tp-cap")
 _COMMANDS = {
-    "membership": ("--bound",), "frobenius": (), "gaps": (),
-    "minimal-gens": (), "apery": ("--m",), "denumerant": ("--n", "--trunc"),
-    "quotient": ("--p", "--bound"), "tp": ("--p",),
-    "rgf": ("--p", "--trunc", "--verify"), "ct": ("--p", "--expr", "--verify"),
-    "verify": ("--p",),
+    "membership": ("--bound", *_SIEVE), "frobenius": _SIEVE, "gaps": _SIEVE,
+    "minimal-gens": _SIEVE, "apery": ("--m", *_SIEVE),
+    "denumerant": ("--n", "--trunc", *_SIEVE),
+    "quotient": ("--p", "--bound", *_BOTH), "tp": ("--p", *_TP),
+    "rgf": ("--p", "--trunc", "--verify", *_SIEVE),
+    "ct": ("--p", "--expr", "--verify", *_SIEVE), "verify": ("--p", *_BOTH),
 }
 _ACTIONS = {"quotient": ("gens", "minimal", "membership", "frobenius",
                          "table1"),
@@ -399,8 +427,7 @@ def _argv(draw):
     argv = [cmd]
     if cmd in _ACTIONS:
         argv.append(draw(st.sampled_from(_ACTIONS[cmd])))
-    for flag in ("--gens", *_COMMANDS[cmd], "--sieve-cap", "--tp-cap",
-                 "--format"):
+    for flag in ("--gens", *_COMMANDS[cmd], "--format"):
         if not draw(st.sampled_from(range(8))):  # drop a flag now and then
             continue
         if flag == "--verify":

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 
 import nsq.ctengine
 import nsq.exactalg
-from nsq.ctengine import (BinomialFactor, CTExpr, Monomial, _share_root,
+from nsq.ctengine import (BinomialFactor, CTExpr, Monomial,
+                          _ring_div_binomial, _ring_reduce, _share_root,
                           build_rgf_expr, classify_monomial, ct_constant_term,
                           ct_rgf_rational, lemma_zero_check, normalize_expr,
                           parse_elliott, reduce_factor_mod, render_elliott,
@@ -106,6 +108,36 @@ class TestResidue:
             residue_A0(E, 0)
 
 
+class TestRingDivision:
+    """elt / (1 - v*L^c) in Q(x)[L]/(L^B - M), multiplied back."""
+
+    @staticmethod
+    def monomial(rng):
+        coef = Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 2, 5]))
+        return Monomial(coef, rng.randint(-3, 3))
+
+    def test_times_the_binomial_gives_the_element_back(self):
+        rng = random.Random(89)
+        done = 0
+        while done < 150:
+            B = rng.randint(1, 12)
+            c = rng.choice([0, B, 2 * B, rng.randint(0, 2 * B)])
+            M, v = self.monomial(rng), self.monomial(rng)
+            n = B // math.gcd(B, c)
+            if v ** n * M ** (c // math.gcd(B, c)) == Monomial(Fraction(1), 0):
+                continue  # s = 1: the factors share a root
+            elt = _ring_reduce({rng.randint(-B, 2 * B): RF.monomial(
+                rng.randint(-3, 3), rng.randint(-2, 2))
+                for _ in range(rng.randint(0, 3))}, B, M)
+            quot = _ring_div_binomial(elt, BinomialFactor(v, c), B, M)
+            assert all(0 <= r < B and val for r, val in quot.items())
+            back = dict(quot)
+            for r, val in quot.items():
+                back[r + c] = back.get(r + c, RF(0)) - val * v.to_ratfun()
+            assert _ring_reduce(back, B, M) == elt, (B, c, M, v, elt)
+            done += 1
+
+
 class TestShareRoot:
     """The monomial test u^{c/d} = v^{b/d} against the polynomial gcd."""
 
@@ -197,6 +229,8 @@ class TestConstantTerm:
     @pytest.mark.parametrize("text", [
         "1/((1 - L^60)*(1 - x*L^7)*(1 - 2*x^2*L^11))",
         "1/((1 - L^60)*(1 - x*L^-7)*(1 - 2*x^2*L^11))",
+        # a sparse ring: six of its 300 slots are ever nonzero
+        "1/((1 - L^300)*(1 - x*L^-100)*(1 - 2*x^2*L^150))",
     ])
     def test_three_factors_with_a_ring_of_60(self, text):
         E = parse_elliott(text)

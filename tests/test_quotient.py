@@ -6,7 +6,7 @@ import pytest
 
 import nsq.quotient
 import nsq.semigroup
-from nsq.errors import GcdNotOne, NoMatchingRow
+from nsq.errors import CapExceeded, GcdNotOne, NoMatchingRow
 from nsq.quotient import (QuotientSpec, _enumerate_tp, enumerate_Tp,
                           frobenius_quotient, generates_quotient,
                           generators_thm, minimal_quotient_generators,
@@ -255,6 +255,14 @@ class TestTable1:
         assert table1_generators(Q((3, 5, 7), 2)) == [3, 4, 5, 6, 7]
         assert table1_generators(Q((3, 6, 7), 3)) == [1, 2, 7]
         assert table1_generators(Q((6, 7, 11), 3)) == [2, 6, 7, 11]
+
+    def test_charges_the_tp_cap(self):
+        # the 2^3 tuples of [0, 1]^3, as generators_thm charges them
+        assert table1_generators(Q((3, 5, 7), 2), cap=8) == [3, 4, 5, 6, 7]
+        with pytest.raises(CapExceeded, match="8 tuples exceed cap 7"):
+            table1_generators(Q((3, 5, 7), 2), cap=7)
+        with pytest.raises(CapExceeded, match="8 tuples exceed cap 7"):
+            generators_thm(Q((3, 5, 7), 2), cap=7)
 
     def test_no_matching_row(self):
         with pytest.raises(NoMatchingRow):
