@@ -9,14 +9,18 @@ y = v*L^c and n = b/gcd(b, c), y^n is the scalar s = v^n M^{cn/b}, so
 
     1/(1 - y) = (1 + y + ... + y^{n-1}) / (1 - s),
 
-and a division adds n - 1 rotations of the nonzero slots by y and
-divides by 1 - s once per slot.
+and a division solves (1 - y)*q = e along each orbit i -> i + c mod b of
+the slots: one walk around the orbit gives q at its start over 1 - s,
+and a second walk fills in the rest.
 
 s = 1 exactly when the two factors share a root, which a monomial test
 decides beforehand.  The constant term follows from the partial
 fraction split, with the small/large monomial ordering of the double
-Laurent series field deciding which factors contribute.  Applied to the
-lifted denumerant expression this yields RGF_p(x) exactly.
+Laurent series field deciding which factors contribute.  Its remainder
+is built from sparse binomial passes: each residue times the other
+factors, subtracted from the numerator, then divided by one factor at a
+time from the low end.  Applied to the lifted denumerant expression this
+yields RGF_p(x) exactly.
 
 Every scalar, from the parsed expression to the result, is an
 `exactalg.RationalFunction`: a rational content times an integer Laurent
@@ -37,7 +41,7 @@ from fractions import Fraction
 
 from .errors import (CapExceeded, DivisionByZeroPoly, GcdNotOne,
                      InternalMismatch, NonCoprimeFactors, PreconditionUnmet)
-from .exactalg import Poly, RationalFunction, poly_divmod
+from .exactalg import RationalFunction
 from .semigroup import DEFAULT_SIEVE_CAP, GeneratorList
 
 _ZERO = RationalFunction(0)
@@ -74,12 +78,6 @@ class BinomialFactor(namedtuple("BinomialFactor", "u b")):
     """The denominator factor (1 - u * L^b)."""
 
     __slots__ = ()
-
-    def as_poly(self) -> Poly:
-        """Polynomial in L over Q(x); requires b >= 0."""
-        coeffs = [_ONE] + [_ZERO] * self.b
-        coeffs[self.b] = coeffs[self.b] - self.u.to_ratfun()
-        return Poly(coeffs)
 
 
 class Residue(namedtuple("Residue", "factor_index A0 contributing")):
@@ -231,30 +229,57 @@ def _ring_reduce(num: dict[int, RationalFunction], B: int,
 def _ring_div_binomial(elt: dict[int, RationalFunction], g: BinomialFactor,
                        B: int, M: Monomial) -> dict[int, RationalFunction]:
     """elt / (1 - v*L^c) in Q(x)[L]/(L^B - M), for elt as `_ring_reduce`
-    returns it: (elt + y*elt + ... + y^{n-1}*elt) / (1 - s) with
-    y = v*L^c, d = gcd(B, c), n = B/d and s = y^n = v^n M^{c/d}.
-    Multiplying by y rotates the nonzero slots by c mod B, times
-    v*M^{floor(c/B)}; a slot that wraps past B takes one more M."""
+    returns it: the q with (1 - y)*q = elt, y = v*L^c.
+
+    Multiplying by y moves slot i to i + c mod B, times v*M^{floor(c/B)},
+    and one more M when it wraps past B, so q_{i+c} = e_{i+c} + w_i*q_i
+    along each of the d = gcd(B, c) orbits i -> i + c mod B.  Around an
+    orbit of n = B/d slots the steps w multiply to s = y^n = v^n M^{c/d},
+    so one Horner walk from a start back to it gives T = (1 - s)*q_start,
+    and a second walk from q_start = T/(1 - s) fills in the orbit.  An
+    orbit holding no nonzero slot of elt has q = 0 and is skipped."""
     v, c = g.u, g.b
     d = math.gcd(B, c)
     n = B // d
+    den = 1 - (v ** n * M ** (c // d)).to_ratfun()
+    if n == 1:
+        return {i: val / den for i, val in elt.items()}
     q, r = divmod(c, B)
     step = v * M ** q
     stay, wrap = step.to_ratfun(), (step * M).to_ratfun()
-    total, term = dict(elt), elt
-    for _ in range(n - 1):
-        term = {(i + r) % B: val * (stay if i + r < B else wrap)
-                for i, val in term.items()}
-        for i, val in term.items():
-            total[i] = total[i] + val if i in total else val
-    inv = _ONE / (1 - (v ** n * M ** (c // d)).to_ratfun())
-    return {i: val * inv for i, val in total.items() if val}
+    out: dict[int, RationalFunction] = {}
+    done = set()
+    for start in elt:
+        if start % d in done:
+            continue
+        done.add(start % d)
+        acc, i = _ZERO, start
+        for _ in range(n):
+            j = i + r
+            if acc:
+                acc = acc * (stay if j < B else wrap)
+            i = j if j < B else j - B
+            if i in elt:
+                acc = acc + elt[i]
+        acc = acc / den
+        if acc:
+            out[i] = acc
+        for _ in range(n - 1):
+            j = i + r
+            acc = acc * (stay if j < B else wrap)
+            i = j if j < B else j - B
+            if i in elt:
+                acc = acc + elt[i]
+            if acc:
+                out[i] = acc
+    return out
 
 
 def _residue_poly(num: dict[int, RationalFunction], lam,
-                  pos: int) -> list[RationalFunction]:
-    """Full residue polynomial A_s(L) (coefficients 0..b_s-1) for the
-    factor at position `pos` within the L-dependent list."""
+                  pos: int) -> dict[int, RationalFunction]:
+    """Residue polynomial A_s(L) for the factor (1 - u*L^b) at position
+    `pos` within the L-dependent list, as its nonzero slots
+    {r: coefficient of L^r}, 0 <= r < b."""
     f = lam[pos][1]
     B = f.b
     M = f.u.inv()
@@ -262,10 +287,48 @@ def _residue_poly(num: dict[int, RationalFunction], lam,
     for k, (_, g) in enumerate(lam):
         if k != pos:
             elt = _ring_div_binomial(elt, g, B, M)
-    coeffs = [_ZERO] * B
-    for r, c in elt.items():
-        coeffs[r] = c
-    return coeffs
+    return elt
+
+
+def _times_binomial(t: dict[int, RationalFunction],
+                    g: BinomialFactor) -> dict[int, RationalFunction]:
+    """t * (1 - u*L^b) for a Laurent polynomial t in L."""
+    nu = g.u.neg().to_ratfun()
+    out = dict(t)
+    for e, val in t.items():
+        e += g.b
+        out[e] = out[e] + nu * val if e in out else nu * val
+    return {e: val for e, val in out.items() if val}
+
+
+def _over_binomial(t: dict[int, RationalFunction],
+                   g: BinomialFactor) -> dict[int, RationalFunction]:
+    """t / (1 - u*L^b), b > 0, for a Laurent polynomial t in L, divided
+    from the low end: q_e = t_e + u*q_{e-b} along each class e mod b.
+    The quotient is a Laurent polynomial exactly when q vanishes at the
+    top key of every class; otherwise `InternalMismatch`."""
+    u, b = g.u.to_ratfun(), g.b
+    classes: dict[int, list[int]] = {}
+    for e in sorted(t):
+        classes.setdefault(e % b, []).append(e)
+    out: dict[int, RationalFunction] = {}
+    for keys in classes.values():
+        acc, last = _ZERO, keys[0]
+        for e in keys:
+            if acc:
+                for gap in range(last + b, e, b):
+                    acc = u * acc
+                    out[gap] = acc
+                acc = u * acc + t[e]
+            else:
+                acc = t[e]
+            if acc:
+                out[e] = acc
+            last = e
+        if acc:
+            raise InternalMismatch(
+                "partial fraction remainder is not polynomial")
+    return out
 
 
 def residue_A0(E: CTExpr, s: int) -> Residue:
@@ -285,67 +348,62 @@ def residue_A0(E: CTExpr, s: int) -> Residue:
     if cells > DEFAULT_SIEVE_CAP:
         raise CapExceeded(f"residue ring of {cells} cells exceeds cap "
                           f"{DEFAULT_SIEVE_CAP}")
-    coeffs = _residue_poly(num, lam, pos)
+    A0 = _residue_poly(num, lam, pos).get(0, _ZERO)
     f = lam[pos][1]
-    return Residue(s, coeffs[0].normalised(), classify_monomial(f.u.xexp, f.b))
+    return Residue(s, A0.normalised(), classify_monomial(f.u.xexp, f.b))
 
 
 def ct_constant_term(E: CTExpr,
                      cap: int = DEFAULT_SIEVE_CAP) -> RationalFunction:
     """Constant term in L of E, as an exact rational function in x.
 
-    Computes every residue, subtracts the partial fractions to recover
-    the Laurent-polynomial remainder, and checks the primal (small-sum)
-    and dual (value at L=0 minus large-sum) formulas against each other
-    whenever both apply.  The residue rings are charged against cap
-    (`CapExceeded`) before any is built.
+    Computes every residue A_s, recovers the Laurent-polynomial remainder
+    R of E = R + sum_s A_s/f_s, and checks the primal (small-sum) and
+    dual (value at L=0 minus large-sum) formulas against each other
+    whenever both apply.  R*prod f = num - sum_s A_s*prod_{k != s} f_k is
+    built by sparse binomial passes, and divided by one factor f at a
+    time from the low end; every division must be exact, which holds
+    exactly when prod f divides the whole.  The residue rings are
+    charged against cap (`CapExceeded`) before any is built, and so is
+    the normal form of the result.
     """
     E = normalize_expr(E)
     num, lam = _fold_free_factors(E.numerator, E.factors)
     if not lam:
-        return num.get(0, _ZERO).normalised()
+        return num.get(0, _ZERO).normalised(cap)
     _check_pairwise_coprime(lam)
     _charge_rings(lam, cap)
 
     residues = []
     for pos in range(len(lam)):
-        coeffs = _residue_poly(num, lam, pos)
+        elt = _residue_poly(num, lam, pos)
         f = lam[pos][1]
-        residues.append((coeffs, classify_monomial(f.u.xexp, f.b)))
+        residues.append((elt, classify_monomial(f.u.xexp, f.b)))
 
     # remainder R with E = R + sum_s A_s/(1 - u_s L^{b_s})
-    factor_polys = [f.as_poly() for _, f in lam]
-    D = Poly([_ONE])
-    for fp in factor_polys:
-        D = D * fp
     total = dict(num)
-    for pos, (coeffs, _) in enumerate(residues):
-        term = Poly(coeffs)
-        for k, fp in enumerate(factor_polys):
+    for pos, (elt, _) in enumerate(residues):
+        for k, (_, g) in enumerate(lam):
             if k != pos:
-                term = term * fp
-        for e, c in enumerate(term.coeffs):
-            total[e] = total.get(e, _ZERO) - c
-    total = {e: c for e, c in total.items() if c}
-    shift = max(0, -min(total, default=0))
-    ncoeffs = [_ZERO] * (shift + max(total, default=0) + 1)
-    for e, c in total.items():
-        ncoeffs[e + shift] = c
-    quot, rem = poly_divmod(Poly(ncoeffs), D)
-    if not rem.is_zero():
-        raise InternalMismatch("partial fraction remainder is not polynomial")
-    R0 = quot.coeff(shift)
-    primal = R0 + sum((c[0] for c, cat in residues if cat == "small"), _ZERO)
+                elt = _times_binomial(elt, g)
+        for e, c in elt.items():
+            total[e] = total[e] - c if e in total else -c
+    quot = {e: c for e, c in total.items() if c}
+    for _, g in lam:
+        quot = _over_binomial(quot, g)
+    primal = quot.get(0, _ZERO) + sum(
+        (elt.get(0, _ZERO) for elt, cat in residues if cat == "small"), _ZERO)
 
     if not num or min(num) >= 0:
         # E has a value at L=0; cross-check with the dual formula
-        if any(c for e, c in enumerate(quot.coeffs) if e < shift):
+        if any(e < 0 for e in quot):
             raise InternalMismatch("remainder has a pole at 0 but E does not")
         dual = num.get(0, _ZERO) - sum(
-            (c[0] for c, cat in residues if cat == "large"), _ZERO)
+            (elt.get(0, _ZERO) for elt, cat in residues if cat == "large"),
+            _ZERO)
         if dual != primal:
             raise InternalMismatch("primal and dual constant terms disagree")
-    return primal.normalised()
+    return primal.normalised(cap)
 
 
 def lemma_zero_check(E: CTExpr) -> bool:
@@ -365,7 +423,7 @@ def lemma_zero_check(E: CTExpr) -> bool:
     _charge_rings(lam, DEFAULT_SIEVE_CAP)
     total = _ZERO
     for pos in range(len(lam)):
-        total = total + _residue_poly(num, lam, pos)[0]
+        total = total + _residue_poly(num, lam, pos).get(0, _ZERO)
     return total.is_zero()
 
 

@@ -2,24 +2,24 @@
 functions and truncated power series.
 
 Rational scalars are `fractions.Fraction`.  `Poly` is coefficient-generic:
-it is used both over Fraction (polynomials in x) and over
-`RationalFunction` (polynomials in a second variable whose coefficients
-are rational functions in x).  `RationalFunction` is the one type for a
-rational function in x: one rational content times a primitive integer
-Laurent numerator over a multiset of canonical primitive integer atoms,
-computed with no gcd, whose reduced normal form `rf_from_atoms` computes
-once, on first read.  All operations are pure and every value is
-immutable after construction.  `TruncatedSeries` is
-defined in `semigroup`, whose denumerant series needs no kernel, and is
-re-exported here.
+the package uses it over Fraction (polynomials in x), and it works as
+well over `RationalFunction` (polynomials in a second variable whose
+coefficients are rational functions in x).  `RationalFunction` is the
+one type for a rational function in x: one rational content times a
+primitive integer Laurent numerator over a multiset of canonical
+primitive integer atoms, computed with no gcd, whose reduced normal
+form `rf_from_atoms` computes once, on first read.  All operations are
+pure and every value is immutable after construction.
+`TruncatedSeries` is defined in `semigroup`, whose denumerant series
+needs no kernel, and is re-exported here.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .errors import DivisionByZeroPoly, PoleAtZero
-from .semigroup import TruncatedSeries
+from .errors import CapExceeded, DivisionByZeroPoly, PoleAtZero
+from .semigroup import DEFAULT_SIEVE_CAP, TruncatedSeries
 
 _ZERO_F = Fraction(0)
 
@@ -241,9 +241,18 @@ class RationalFunction:
         """coef * x^exp with exp allowed negative."""
         return cls._new({exp: 1} if coef else {}, Fraction(coef))
 
-    def normalised(self) -> "RationalFunction":
-        """This value, with its normal form computed and cached."""
+    def normalised(self, cap: int = DEFAULT_SIEVE_CAP) -> "RationalFunction":
+        """This value, with its normal form computed and cached.  The dense
+        lists of that computation are charged against cap before any is
+        built: the numerator's span of exponents plus the total degree of
+        the atoms, counted with multiplicity (`CapExceeded`)."""
         if self._form is None:
+            if self.terms:
+                cells = max(self.terms) - min(self.terms) + 1 + sum(
+                    atom[-1][0] * m for atom, m in self.atoms.items())
+                if cells > cap:
+                    raise CapExceeded(f"normal form of {cells} coefficients "
+                                      f"exceeds cap {cap}")
             self._form = rf_from_atoms(self.terms, self.atoms, self.scale)
         return self
 
@@ -608,14 +617,3 @@ def series_from_rational(f: RationalFunction, n: int) -> TruncatedSeries:
         out.append(acc / d0)
     return TruncatedSeries(n, tuple(out))
 
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated to the smaller order."""
-    n = min(a.order, b.order)
-    out = []
-    for k in range(n + 1):
-        acc = 0
-        for j in range(k + 1):
-            acc = acc + a.coeffs[j] * b.coeffs[k - j]
-        out.append(acc)
-    return TruncatedSeries(n, tuple(out))

@@ -281,6 +281,15 @@ class TestExitCodes:
         assert err == ("cap exceeded: residue rings of 4004001 cells "
                        "exceed cap 100000\n")
 
+    def test_ct_expr_charges_the_normal_form(self):
+        start = time.perf_counter()
+        code, err = run_process("ct", "--expr", "1/((1-x^4000000))",
+                                "--sieve-cap", "10")
+        assert time.perf_counter() - start < 1  # no dense list is built
+        assert code == 3 and "Traceback" not in err
+        assert err == ("cap exceeded: normal form of 4000001 coefficients "
+                       "exceeds cap 10\n")
+
     def test_closed_stdout_is_not_an_error(self):
         # about 1.4 MB of output, more than any pipe buffer holds, so a
         # write fails once the reader has gone

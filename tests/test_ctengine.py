@@ -137,13 +137,45 @@ class TestRingDivision:
             assert _ring_reduce(back, B, M) == elt, (B, c, M, v, elt)
             done += 1
 
+    def test_an_element_on_one_orbit_stays_on_it(self):
+        # d = gcd(B, c) >= 2 orbits i -> i + c mod B; the quotient of an
+        # element confined to one orbit is confined to the same orbit
+        rng = random.Random(97)
+        done = 0
+        while done < 60:
+            B = rng.randint(2, 40)
+            d = rng.choice([k for k in range(2, B + 1) if B % k == 0])
+            c = d * rng.choice([k for k in range(1, 2 * B // d + 1)
+                                if math.gcd(k, B // d) == 1])
+            assert math.gcd(B, c) == d
+            M, v = self.monomial(rng), self.monomial(rng)
+            if v ** (B // d) * M ** (c // d) == Monomial(Fraction(1), 0):
+                continue
+            orbit = rng.randrange(d)
+            elt = {r: RF.monomial(rng.choice([1, -2, 3]), rng.randint(-2, 2))
+                   for r in rng.sample(range(orbit, B, d),
+                                       rng.randint(1, min(3, B // d)))}
+            quot = _ring_div_binomial(elt, BinomialFactor(v, c), B, M)
+            assert quot and all(r % d == orbit for r in quot), (B, c, elt)
+            back = dict(quot)
+            for r, val in quot.items():
+                back[r + c] = back.get(r + c, RF(0)) - val * v.to_ratfun()
+            assert _ring_reduce(back, B, M) == elt, (B, c, M, v, elt)
+            done += 1
+
 
 class TestShareRoot:
     """The monomial test u^{c/d} = v^{b/d} against the polynomial gcd."""
 
     @staticmethod
-    def by_gcd(f, g):
-        return poly_gcd(f.as_poly(), g.as_poly()).deg > 0
+    def as_poly(f):
+        """1 - u*L^b as a polynomial in L over Q(x); requires b >= 0."""
+        coeffs = [RF(1)] + [RF(0)] * f.b
+        coeffs[f.b] = coeffs[f.b] - f.u.to_ratfun()
+        return Poly(coeffs)
+
+    def by_gcd(self, f, g):
+        return poly_gcd(self.as_poly(f), self.as_poly(g)).deg > 0
 
     def test_sign_and_root_of_unity_pairs(self):
         pairs = [
@@ -257,6 +289,15 @@ class TestConstantTerm:
         assert (f.num.deg, f.den.deg) == (442, 661)
         assert f.num * r.denominator() == Poly.from_ints(r.numerator) * f.den
 
+    def test_large_p_cross_multiplies_with_the_closed_form(self):
+        # every residue ring of 97 slots fills up; the residue divisions
+        # and the remainder follow the nonzero slots
+        A = GeneratorList.of(101, 103, 107)
+        f = ct_rgf_rational(A, 97)
+        r = rgf_rational(A, 97)
+        assert (f.num.deg, f.den.deg) == (288, 311)
+        assert f.num * r.denominator() == Poly.from_ints(r.numerator) * f.den
+
     def test_residue_and_lemma_charge_their_rings(self):
         E = parse_elliott("L/((1 - L^300000)*(1 - x*L))")
         # only the ring at factor 0: 300000 * 300001 cells
@@ -281,6 +322,15 @@ class TestConstantTerm:
         with pytest.raises(CapExceeded):
             ct_rgf_rational(A, 2, cap=0)
         assert ct_rgf_rational(A, 2, cap=100) == rgf_rational(A, 2).to_rational()
+
+    def test_cap_charges_the_normal_form(self):
+        # no ring at all: the normal form's atom 1 - x^4000000 alone
+        E = parse_elliott("1/((1 - x^4000000))")
+        msg = "normal form of 4000001 coefficients exceeds cap 10"
+        with pytest.raises(CapExceeded, match=msg):
+            ct_constant_term(E, cap=10)
+        f = ct_constant_term(parse_elliott("1/((1 - x^5))"), cap=6)
+        assert f.den == Poly.from_ints([-1, 0, 0, 0, 0, 1])
 
     def test_one_gcd_per_result(self, monkeypatch):
         # the exit cancels atom by atom: no Euclid here, and one only for
@@ -334,14 +384,37 @@ class TestConstantTerm:
         residue_poly = nsq.ctengine._residue_poly
 
         def off_by_one(num, lam, pos):
-            coeffs = residue_poly(num, lam, pos)
-            return [coeffs[0] + 1, *coeffs[1:]] if pos == 0 else coeffs
+            elt = residue_poly(num, lam, pos)
+            return {**elt, 0: elt.get(0, RF(0)) + 1} if pos == 0 else elt
 
         monkeypatch.setattr(nsq.ctengine, "_residue_poly", off_by_one)
         with pytest.raises(InternalMismatch):
             ct_rgf_rational(GeneratorList.of(3, 5, 7), 2)
         with pytest.raises(InternalMismatch):
             ct_constant_term(parse_elliott("1/((1 - x*L)*(1 - x^2*L^-1))"))
+
+    def test_perturbed_residue_slot_fails_a_binomial_division(
+            self, monkeypatch):
+        # A_s + L^r, 0 < r < b_s, changes the remainder by L^r times the
+        # other factors, which (1 - u_s L^{b_s}) does not divide
+        residue_poly = nsq.ctengine._residue_poly
+
+        def off_at(slot, target):
+            def perturbed(num, lam, pos):
+                elt = residue_poly(num, lam, pos)
+                if pos != target:
+                    return elt
+                return {**elt, slot: elt.get(slot, RF(0)) + RF.monomial(1, 1)}
+            return perturbed
+
+        msg = "partial fraction remainder is not polynomial"
+        monkeypatch.setattr(nsq.ctengine, "_residue_poly", off_at(1, 0))
+        with pytest.raises(InternalMismatch, match=msg):
+            ct_rgf_rational(GeneratorList.of(3, 5, 7), 2)
+        monkeypatch.setattr(nsq.ctengine, "_residue_poly", off_at(3, 0))
+        with pytest.raises(InternalMismatch, match=msg):
+            ct_constant_term(parse_elliott(
+                "1/((1 - L^6)*(1 - x*L^2)*(1 - 2*x^3*L^5))"))
 
 
 def _brute_ct(E, N):

@@ -10,7 +10,7 @@ from nsq.errors import DivisionByZeroPoly, PoleAtZero
 from nsq.ctengine import parse_elliott
 from nsq.exactalg import (Poly, RationalFunction, TruncatedSeries,
                           poly_divmod, poly_gcd, rf_from_atoms,
-                          series_from_rational, series_mul)
+                          series_from_rational)
 from nsq.rgf import rgf_rational
 from nsq.semigroup import GeneratorList
 
@@ -27,6 +27,19 @@ def _euclid_reduce(num, den):
     g = poly_gcd(num, den)
     num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
     return num.scale(1 / den.lead), den.monic()
+
+
+def series_mul(a, b):
+    """Cauchy product truncated to the smaller order, the oracle for the
+    series of a product."""
+    n = min(a.order, b.order)
+    out = []
+    for k in range(n + 1):
+        acc = 0
+        for j in range(k + 1):
+            acc = acc + a.coeffs[j] * b.coeffs[k - j]
+        out.append(acc)
+    return TruncatedSeries(n, tuple(out))
 
 
 def _laurent(terms):
