@@ -215,6 +215,20 @@ def _charge_rings(lam, cap: int):
         raise CapExceeded(f"residue rings of {cells} cells exceed cap {cap}")
 
 
+def _charge_remainder(total: dict[int, RationalFunction], lam, cap: int):
+    """Charge the partial-fraction remainder against cap before the
+    divisions build it.  Dividing `total` by the factors from the low
+    end fills keys of one span S = max - min + 1, and along a class
+    e mod b each step multiplies by u, so a coefficient's x-degree grows
+    by |deg u| per step: S * (1 + sum |deg u| * ((S - 1) // b)) cells."""
+    span = max(total) - min(total) + 1
+    growth = sum(abs(g.u.xexp) * ((span - 1) // g.b) for _, g in lam)
+    cells = span * (1 + growth)
+    if cells > cap:
+        raise CapExceeded(f"partial fraction remainder of {cells} cells "
+                          f"exceeds cap {cap}")
+
+
 def _ring_reduce(num: dict[int, RationalFunction], B: int,
                  M: Monomial) -> dict[int, RationalFunction]:
     """Map a Laurent polynomial in L into Q(x)[L]/(L^B - M), as the
@@ -364,8 +378,8 @@ def ct_constant_term(E: CTExpr,
     built by sparse binomial passes, and divided by one factor f at a
     time from the low end; every division must be exact, which holds
     exactly when prod f divides the whole.  The residue rings are
-    charged against cap (`CapExceeded`) before any is built, and so is
-    the normal form of the result.
+    charged against cap (`CapExceeded`) before any is built, and so are
+    the remainder and the normal form of the result.
     """
     E = normalize_expr(E)
     num, lam = _fold_free_factors(E.numerator, E.factors)
@@ -389,6 +403,8 @@ def ct_constant_term(E: CTExpr,
         for e, c in elt.items():
             total[e] = total[e] - c if e in total else -c
     quot = {e: c for e, c in total.items() if c}
+    if quot:
+        _charge_remainder(quot, lam, cap)
     for _, g in lam:
         quot = _over_binomial(quot, g)
     primal = quot.get(0, _ZERO) + sum(

@@ -10,6 +10,11 @@ primitive integer Laurent numerator over a multiset of canonical
 primitive integer atoms, computed with no gcd, whose reduced normal
 form `rf_from_atoms` computes once, on first read.  All operations are
 pure and every value is immutable after construction.
+Fraction `Poly`s are built only at the boundary: the `num`/`den`
+normal form, the `RationalFunction` constructor's arguments, and the
+Euclid `rf_from_atoms` runs for a reducible atom (Capelli).  Only the
+public `RGFRational.denominator()`, which no command calls, multiplies
+them.
 `TruncatedSeries` is defined in `semigroup`, whose denumerant series
 needs no kernel, and is re-exported here.
 """

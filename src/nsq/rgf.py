@@ -80,9 +80,9 @@ def _times_geometric(poly: list[int], a: int, c: int) -> list[int]:
     return out
 
 
-def rgf_rational(A: GeneratorList, p: int,
-                 cap: int = DEFAULT_SIEVE_CAP) -> RGFRational:
-    """Closed form of RGF_p over prod_i (1 - x^{b_i}), b_i = a_i/gcd(a_i, p).
+def _closed_form(A: GeneratorList, p: int, cap: int) -> RGFRational:
+    """The closed form of RGF_p over prod_i (1 - x^{b_i}), with no
+    horizon (`certified_to` None).
 
     Proof.  With g = gcd(a, p), c = p/g and b = a/g, every a satisfies
     1/(1 - x^a) = (sum_{j<c} x^{ja}) / (1 - x^{pb}), since c*a = p*b.  So
@@ -92,13 +92,9 @@ def rgf_rational(A: GeneratorList, p: int,
     gives RGF_p(x^p) = P_p(x^p) / prod_i (1 - x^{p b_i}), where P_p keeps
     the coefficients of P at exponents divisible by p.  Substituting
     x^p -> x yields the numerator; its degree is below sum b_i because
-    deg P = sum (p - g_i) b_i.  No series is expanded.
-
-    `certified_to` is the horizon `rgf rational --verify` checks the
-    closed form against the series through: one full quasi-period Q (the
-    p-reduced lcm of A) past the numerator degree and the transient
-    ceil(F(A)/p).  P has 1 + sum (c_i - 1) a_i coefficients, charged
-    against `cap` before it is built, and the F(A) sieve shares `cap`.
+    deg P = sum (p - g_i) b_i.  No series is expanded.  P has
+    1 + sum (c_i - 1) a_i coefficients, charged against `cap` before it
+    is built.
     """
     if A.g != 1:
         raise GcdNotOne("rgf_rational requires gcd(A) = 1")
@@ -115,11 +111,24 @@ def rgf_rational(A: GeneratorList, p: int,
     while num and num[-1] == 0:
         num.pop()
     bs = sorted(a // math.gcd(a, p) for a in A.seq)
+    return RGFRational(tuple(num), tuple(bs), None)
+
+
+def rgf_rational(A: GeneratorList, p: int,
+                 cap: int = DEFAULT_SIEVE_CAP) -> RGFRational:
+    """Closed form of RGF_p over prod_i (1 - x^{b_i}), b_i = a_i/gcd(a_i, p),
+    proved in `_closed_form`, whose product P is charged against `cap`.
+
+    `certified_to` is the horizon `rgf rational --verify` checks the
+    closed form against the series through: one full quasi-period Q (the
+    p-reduced lcm of A) past the numerator degree and the transient
+    ceil(F(A)/p).  The F(A) sieve shares `cap`.
+    """
+    r = _closed_form(A, p, cap)
     Q = math.lcm(*A.seq)
     Q //= math.gcd(Q, p)
     transient = -(-(frobenius(A, cap=cap) or 0) // p)
-    horizon = sum(bs) + Q + transient + 1
-    return RGFRational(tuple(num), tuple(bs), horizon)
+    return r._replace(certified_to=sum(r.denom_factors) + Q + transient + 1)
 
 
 def frobenius_from_rgf(A: GeneratorList, p: int,

@@ -147,17 +147,53 @@ class TestCtCommand:
     def test_verify_catches_a_wrong_closed_form(self, capsys, monkeypatch):
         import nsq.rgf
 
-        right = nsq.rgf.rgf_rational
+        right = nsq.rgf._closed_form
 
         def wrong(A, p, cap):
-            r = right(A, p, cap=cap)
+            r = right(A, p, cap)
             return r._replace(numerator=(r.numerator[0] + 1,) + r.numerator[1:])
 
-        monkeypatch.setattr(nsq.rgf, "rgf_rational", wrong)
+        monkeypatch.setattr(nsq.rgf, "_closed_form", wrong)
         code, out, err = run(capsys, "ct", "--gens", "3,5", "--p", "2",
                              "--verify")
         assert (code, out) == (4, "")
         assert err == "verify: CT path disagrees with series path\n"
+
+    def test_verify_catches_a_wrong_ct_answer(self, capsys, monkeypatch):
+        import nsq.ctengine
+        from nsq.exactalg import RationalFunction
+
+        right = nsq.ctengine.ct_rgf_rational
+        monkeypatch.setattr(
+            nsq.ctengine, "ct_rgf_rational",
+            lambda A, p, cap: right(A, p, cap) + RationalFunction.monomial(1, 1))
+        code, out, err = run(capsys, "ct", "--gens", "3,5", "--p", "2",
+                             "--verify")
+        assert (code, out) == (4, "")
+        assert err == "verify: CT path disagrees with series path\n"
+
+    def test_verify_builds_no_frobenius_sieve(self):
+        # the F(A) sieve of 100751377 cells would exceed the default cap;
+        # the check reads only the closed form's numerator and factors
+        src = str(Path(nsq.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "nsq.cli", "ct", "--gens",
+                "10007,10009,10037", "--p", "2"]
+        env = {**os.environ, "PYTHONPATH": src}
+        plain, checked = (
+            subprocess.run(argv + extra, capture_output=True, text=True,
+                           env=env, timeout=60) for extra in ([], ["--verify"]))
+        assert (checked.returncode, checked.stderr) == (0, "")
+        assert checked.stdout == plain.stdout and plain.returncode == 0
+
+    def test_remainder_is_charged_before_it_is_built(self):
+        # the remainder fills every L-exponent from -4000 up, with x-degrees
+        # growing along the way: 177 MiB before this charge
+        expr = "x*L^-4000/((1 - x*L)*(1 - x^2*L^3))"
+        start = time.perf_counter()
+        code, err = run_process("ct", "--expr", expr, "--sieve-cap", "1000")
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (3, "cap exceeded: partial fraction remainder "
+                                  "of 26714688 cells exceeds cap 1000\n")
 
     def test_large_exit_normalisation(self):
         # the result's Euclid gcd has degree 97 between degrees 318 and

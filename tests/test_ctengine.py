@@ -332,6 +332,20 @@ class TestConstantTerm:
         f = ct_constant_term(parse_elliott("1/((1 - x^5))"), cap=6)
         assert f.den == Poly.from_ints([-1, 0, 0, 0, 0, 1])
 
+    def test_cap_charges_the_remainder(self):
+        # keys L^-1000..L^3, x-degrees growing by 1 per step of b = 1 and by
+        # 2 per step of b = 3: 1004 * (1 + 1003 + 2 * 334) cells
+        E = parse_elliott("x*L^-1000/((1 - x*L)*(1 - x^2*L^3))")
+        msg = "partial fraction remainder of 1678688 cells exceeds cap 1000$"
+        with pytest.raises(CapExceeded, match=msg):
+            ct_constant_term(E, cap=1000)
+        # 34 * (1 + 33 + 2 * 11) cells: refused one below, answered at it
+        E = parse_elliott("x*L^-30/((1 - x*L)*(1 - x^2*L^3))")
+        with pytest.raises(CapExceeded, match="remainder of 1904 cells"):
+            ct_constant_term(E, cap=1903)
+        got = series_from_rational(ct_constant_term(E, cap=1904), 40).coeffs
+        assert got == tuple(_brute_ct(E, 40)) and any(got)
+
     def test_one_gcd_per_result(self, monkeypatch):
         # the exit cancels atom by atom: no Euclid here, and one only for
         # a reducible atom sharing a factor with the numerator
