@@ -3,11 +3,11 @@ the T_p tuple enumeration, the split for p-divisible generators, the
 paper's Table 1 as the componentwise-minimal T_p tuples, minimalization,
 and verification against the brute-force oracle.
 
-n is in <A>/p iff p*n is in <A>, so every membership answer here is read
-off one certified table of <A> (`build_membership`), with no second sieve.
-So are the minimal generators of <A>/p (from its Apery set) and the
-generator checks: `verify_generators` and `generates_quotient` sieve the
-candidate system only to list the mismatches of a false answer.
+n is in <A>/p iff p*n is in <A>, so <A>/p is read off one certified table
+of <A> (`build_membership`): its Apery set at m = min(A) is m ints derived
+from Ap(<A>, m), with no table of its own, and F(<A>/p), its minimal
+generators and the generator checks come from it.  A false check sieves
+the candidate system to list the mismatches.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from .errors import CapExceeded, GcdNotOne, NoMatchingRow, NotCoprimePart
 from .semigroup import (DEFAULT_SIEVE_CAP, GeneratorList, MembershipTable,
-                        _check_cap, _last_gap, _minimal_generators,
+                        _apery_of, _check_cap, _minimal_generators,
                         build_membership)
 
 DEFAULT_TP_CAP = 10**7
@@ -73,37 +73,39 @@ def _enumerate_tp(gens: tuple[int, ...], p: int, cap: int) -> TpSet:
     return TpSet(p, gens, tuple(tuples), tuple(values))
 
 
-def _quotient_of(base: MembershipTable, p: int, B: int,
-                 cap: int) -> MembershipTable:
-    """Flags n <= B of <A>/p read off a certified table of <A>: n is a
-    member iff p*n is, and past base.bound every p*n is.  Reading <A> up
-    to p*B is charged against cap like a sieve of that size."""
-    _check_cap(p * B + 1, cap)
-    bits = base.bits[:p * B + 1:p].ljust(B + 1, b"\x01")
-    f = base.bits[:base.run_end + 1:p].rfind(0)  # F(<A>/p), or -1 if N
-    return MembershipTable(base.gens, B, bits, f <= B,
-                           max(f, 0) if f <= B else None)
+def _quotient_apery(base: MembershipTable, p: int) -> list[int]:
+    """Ap(<A>/p, m), m = min(A), read off w = Ap(<A>, m), which the
+    certified table of <A> holds: x = r + m*t is in <A>/p iff
+    p*x >= w[p*r % m], so t is the least t >= 0 with that."""
+    m = base.gens[0]
+    w = _apery_of(base, m)
+    return [r + m * max(0, -((p * r - w[p * r % m]) // (p * m)))
+            for r in range(m)]
 
 
-def _quotient_table(base: MembershipTable, p: int, cap: int) -> MembershipTable:
-    """The certified table of <A>/p to F(A)//p + 1, or to 2 when <A> = N."""
-    f = _last_gap(base)
-    return _quotient_of(base, p, f // p + 1 if f is not None else 2, cap)
+def _quotient_frobenius(wq: list[int]) -> int | None:
+    """F(<A>/p) from its Apery set, or None when <A>/p is N."""
+    f = max(wq) - len(wq)
+    return f if f > 0 else None
 
 
 def quotient_membership(q: QuotientSpec, B: int,
                         cap: int = DEFAULT_SIEVE_CAP) -> MembershipTable:
-    """Flags for n <= B with n a member iff p*n is in <A>."""
-    return _quotient_of(build_membership(q.A, cap=cap), q.p, B, cap)
-
-
-def quotient_table(q: QuotientSpec, cap: int = DEFAULT_SIEVE_CAP) -> MembershipTable:
-    """Certified membership table of <A>/p, to just past F(A)/p."""
-    return _quotient_table(build_membership(q.A, cap=cap), q.p, cap)
+    """Flags for n <= B with n a member iff p*n is in <A>, read off the
+    certified table of <A>, past whose bound every p*n is a member.
+    Reading <A> up to p*B is charged against cap like a sieve of that size."""
+    if B < 0:
+        raise ValueError(f"bound must be non-negative, got {B}")
+    base = build_membership(q.A, cap=cap)
+    _check_cap(q.p * B + 1, cap)
+    bits = base.bits[:q.p * B + 1:q.p].ljust(B + 1, b"\x01")
+    f = _quotient_frobenius(_quotient_apery(base, q.p)) or 0
+    return MembershipTable(q.A.gens, B, bits, f <= B, f if f <= B else None)
 
 
 def frobenius_quotient(q: QuotientSpec, cap: int = DEFAULT_SIEVE_CAP) -> int | None:
-    return _last_gap(quotient_table(q, cap=cap))
+    return _quotient_frobenius(
+        _quotient_apery(build_membership(q.A, cap=cap), q.p))
 
 
 def generators_thm(q: QuotientSpec, cap: int = DEFAULT_TP_CAP) -> list[int]:
@@ -120,8 +122,9 @@ def generators_thm(q: QuotientSpec, cap: int = DEFAULT_TP_CAP) -> list[int]:
 
 def minimal_quotient_generators(q: QuotientSpec,
                                 cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
-    """Unique minimal generating set of <A>/p from its membership."""
-    return _minimal_generators(quotient_table(q, cap=cap))
+    """Unique minimal generating set of <A>/p from its Apery set."""
+    return _minimal_generators(
+        q.A.gens[0], _quotient_apery(build_membership(q.A, cap=cap), q.p))
 
 
 class VerificationReport(namedtuple(
@@ -136,19 +139,19 @@ def _compare_with_quotient(gens, q: QuotientSpec, cap: int):
     <A>/p and every minimal generator of <A>/p is a g, which the one table
     of <A> decides; <gens> is sieved only to list the mismatches."""
     base = build_membership(q.A, cap=cap)
-    qt = _quotient_table(base, q.p, cap)
-    f = _last_gap(qt)
+    m = q.A.gens[0]
+    wq = _quotient_apery(base, q.p)
+    f = _quotient_frobenius(wq)
     bound = (f or 0) + min(gens) + 1
     # the report covers 0..bound of <A>/p, charged as if read off
     _check_cap(q.p * bound + 1, cap)
     G = GeneratorList.from_iter(gens)
-    if (all(qt.member(g) for g in G.gens)
-            and set(_minimal_generators(qt)) <= set(G.gens)):
+    if (all(g >= wq[g % m] for g in G.gens)
+            and set(_minimal_generators(m, wq)) <= set(G.gens)):
         return f, bound, ()
-    qb = _quotient_of(base, q.p, bound, cap)
     gt = build_membership(G, B=bound, cap=cap)
     return f, bound, tuple(n for n in range(bound + 1)
-                           if qb.bits[n] != gt.bits[n])
+                           if (n >= wq[n % m]) != gt.bits[n])
 
 
 def verify_generators(q: QuotientSpec, cap: int = DEFAULT_SIEVE_CAP,

@@ -4,16 +4,15 @@ Sylvester denumerant.  This layer is the brute-force oracle for
 everything built on top of it.
 
 The core is one certified `MembershipTable` per query: `build_membership`
-sieves <A> once, and the Frobenius number, gaps, Apery sets and minimal
-generators (and, in `quotient`, every answer about <A>/p) are read off
-that table.  The minimal generators come from the Apery set Ap(S, m) of
-the multiplicity m, and `semigroup_equal` checks generators, so neither
-scans the members one by one.
+sieves <A> once, and the Frobenius number, gaps and Apery sets are read
+off that table.  The minimal generators, of <A> here and of <A>/p in
+`quotient`, come from one walk over an Apery set, `_minimal_generators`,
+and `semigroup_equal` checks generators, so neither scans the members
+one by one.
 """
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 
 from .errors import CapExceeded, GcdNotOne, NotAMember
@@ -115,6 +114,8 @@ def build_membership(A: GeneratorList, B: int | None = None,
         if A.g != 1:
             raise GcdNotOne("auto-extension requires gcd(A) = 1")
         B = max(gens) ** 2 + min(gens)
+    elif B < 0:
+        raise ValueError(f"bound must be non-negative, got {B}")
     _check_cap(B + 1, cap)
     bits = _sieve_bits(gens, B)
     run = min(gens)
@@ -138,19 +139,17 @@ def _apery_of(t: MembershipTable, m: int) -> list[int]:
     return [r + m * bits[r::m].find(1) for r in range(m)]
 
 
-def _minimal_generators(t: MembershipTable) -> list[int]:
-    """The unique minimal generating set of the semigroup with certified
-    table t: the multiplicity m and every w in Ap(S, m) \\ {0} that is no
-    sum of two nonzero elements of Ap(S, m)."""
-    m = t.bits.find(1, 1)
-    w = _apery_of(t, m)
-    out = [m]
-    for i in range(1, m):
-        # w[j] + w[(i - j) % m] >= w[i] for every j, equal at j = 0 and j = i
-        sums = map(operator.add, w, w[i::-1] + w[:i:-1])
-        if list(sums).count(w[i]) == 2:
-            out.append(w[i])
-    return sorted(out)
+def _minimal_generators(m: int, w: list[int]) -> list[int]:
+    """The unique minimal generating set of the semigroup S with Apery set
+    w = Ap(S, m) at a member m > 0.  A minimal generator other than m is
+    in w, as x - m is in S for any other member x; and a member x is
+    minimal iff x - g is in S for no smaller minimal g.  So walk m and
+    w[1:] upward, keeping x when x - g < w[(x - g) % m] for each g kept."""
+    out = []
+    for x in sorted(w[1:] + [m]):
+        if all(x - g < w[(x - g) % m] for g in out):
+            out.append(x)
+    return out
 
 
 def frobenius(A: GeneratorList, cap: int = DEFAULT_SIEVE_CAP) -> int | None:
@@ -185,7 +184,8 @@ def minimal_generators(A: GeneratorList, cap: int = DEFAULT_SIEVE_CAP) -> list[i
     nonzero members."""
     if A.g != 1:
         raise GcdNotOne("minimal generators require gcd(A) = 1")
-    return _minimal_generators(build_membership(A, cap=cap))
+    m = A.gens[0]
+    return _minimal_generators(m, _apery_of(build_membership(A, cap=cap), m))
 
 
 def semigroup_equal(A: GeneratorList, B: GeneratorList,

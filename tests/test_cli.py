@@ -38,6 +38,15 @@ class TestBasicCommands:
         assert code == 0
         assert out.strip() == "2 5"
 
+    @pytest.mark.parametrize("argv, answer", [
+        (("frobenius", "--gens", "3,5", "--p", "1000000000"), "NONE"),
+        (("minimal", "--gens", "3,5", "--p", "200000000"), "1"),
+    ])
+    def test_quotient_at_large_p(self, capsys, argv, answer):
+        # read off Ap(<A>, m): no cells of <A> up to p are charged
+        code, out, err = run(capsys, "quotient", *argv)
+        assert (code, out, err) == (0, answer + "\n", "")
+
     def test_frobenius(self, capsys):
         code, out, _ = run(capsys, "frobenius", "--gens", "3,5")
         assert code == 0 and out.strip() == "7"

@@ -10,8 +10,8 @@ from nsq.errors import CapExceeded, GcdNotOne, NoMatchingRow
 from nsq.quotient import (QuotientSpec, _enumerate_tp, enumerate_Tp,
                           frobenius_quotient, generates_quotient,
                           generators_thm, minimal_quotient_generators,
-                          quotient_membership, quotient_table,
-                          table1_generators, verify_generators)
+                          quotient_membership, table1_generators,
+                          verify_generators)
 from nsq.semigroup import (GeneratorList, apery, build_membership, frobenius,
                            gaps, minimal_generators, semigroup_equal)
 
@@ -45,6 +45,10 @@ class TestQuotientMembership:
     def test_gcd_required(self):
         with pytest.raises(GcdNotOne):
             QuotientSpec(GeneratorList.of(4, 6), 2)
+
+    def test_negative_bound_is_value_error(self):
+        with pytest.raises(ValueError):
+            quotient_membership(Q((3, 5), 2), -1)
 
 
 class TestEnumerateTp:
@@ -152,8 +156,13 @@ class TestMinimalGeneratorsOracle:
                 base.member, f)
             fq = max((n for n in range((f or 0) // p + 1)
                       if not base.member(p * n)), default=None)
-            assert minimal_quotient_generators(QuotientSpec(A, p)) == (
+            q = QuotientSpec(A, p)
+            assert minimal_quotient_generators(q) == (
                 brute_minimal_generators(lambda n: base.member(p * n), fq))
+            assert frobenius_quotient(q) == fq
+            qt = quotient_membership(q, (fq or 0) + 1)
+            assert list(qt.bits) == [base.member(p * n)
+                                     for n in range((fq or 0) + 2)]
             done += 1
 
 
@@ -226,7 +235,6 @@ _SIEVES = [
     (minimal_generators, (_A,), 1),
     (semigroup_equal, (_A, GeneratorList.of(7, 9, 13, 16)), 2),
     (quotient_membership, (_Q, 40), 1),
-    (quotient_table, (_Q,), 1),
     (frobenius_quotient, (_Q,), 1),
     (minimal_quotient_generators, (_Q,), 1),
     (verify_generators, (_Q,), 1),

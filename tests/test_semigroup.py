@@ -59,6 +59,10 @@ class TestMembership:
         with pytest.raises(GcdNotOne):
             build_membership(G(4, 6))
 
+    def test_negative_bound_is_value_error(self):
+        with pytest.raises(ValueError):
+            build_membership(G(3, 5), B=-1)
+
 
 class TestFrobenius:
     def test_classic(self):
